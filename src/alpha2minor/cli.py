@@ -224,15 +224,15 @@ def _sweep_worker(task: tuple[str, bool]) -> dict:
             records.append((ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
         except Alpha2Error as exc:
             records.append((ell, "packing_iff", "failed", str(exc)))
-    if n % 2 == 1:
+    # The hypotheses do not depend on ell, and every ell <= (n - 1) // 4 also
+    # meets ell <= (n + 3) // 4; n >= 5 is where the ell range is nonempty.
+    if (
+        n % 2 == 1
+        and n >= 5
+        and is_k_connected(g, (n + 2) // 4)
+        and clique_number(g) < ceil_half(n)
+    ):
         for ell in range(1, (n - 1) // 4 + 1):
-            hypotheses = (
-                is_k_connected(g, (n + 2) // 4)
-                and clique_number(g) < ceil_half(n)
-                and ell <= (n + 3) // 4
-            )
-            if not hypotheses:
-                continue
             found = find_p3_packing(g, ell) is not None
             records.append(
                 (ell, "packing_guarantee", "ok" if found else "failed", "" if found else "no packing")

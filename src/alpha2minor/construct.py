@@ -14,6 +14,7 @@ absorbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError
 from .graphs import (
@@ -242,9 +243,14 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     return _small_case_model(g, ell, trace)
 
 
+@lru_cache(maxsize=64)
 def _complete_minor_fallback(g: Graph, k: int) -> MinorModel:
     """A complete-minor model whose existence is known from connectivity or
-    clique-number results proved elsewhere; found here by brute force."""
+    clique-number results proved elsewhere; found here by brute force.
+
+    k is ceil(n/2) whatever ell is, so the model is memoized and every ell of
+    one graph splits the same search result; a search that raises is not
+    cached."""
     kmodel = find_minor_bruteforce(g, CompleteGraph(k))
     if kmodel is None:
         raise InvariantViolation(

@@ -8,9 +8,7 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import Graph6Error, PreconditionError
@@ -223,38 +221,82 @@ def contract_set(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[frozen
 
 
 # -- vertex connectivity -----------------------------------------------
+#
+# Both invariants count internally disjoint paths with a unit-capacity
+# max-flow on the vertex-split digraph: vertex v becomes an in-node 2v and an
+# out-node 2v+1 joined by the arc 2v -> 2v+1, and every edge uv becomes the
+# arcs 2u+1 -> 2v and 2v+1 -> 2u.  All capacities are one, so the residual
+# digraph is one bitmask row per node: bit y of row x is set while x -> y has
+# residual capacity.  The pairs follow Even's schedule (Even 1975): a
+# separator of size below k misses one of v_0..v_{k-1}, and some vertex
+# outside it is non-adjacent to that one and cut off from it.
 
 
-def _unit_maxflow(n2: int, cap: list[list[int]], source: int, sink: int, limit: int) -> int:
-    """Max flow on a small unit-capacity digraph, stopping early at ``limit``."""
-    flow = 0
+def _split_rows(g: Graph) -> list[int]:
+    """Residual rows of the vertex-split digraph before any flow is pushed."""
+    rows = []
+    for v, row in enumerate(g.adj):
+        ins = 0
+        for u in bits(row):
+            ins |= 1 << (2 * u)
+        rows.append(1 << (2 * v + 1))
+        rows.append(ins)
+    return rows
+
+
+def _push(res: list[int], path: list[int]) -> None:
+    """Send one unit along ``path``, flipping each arc into its reverse."""
+    for x, y in zip(path, path[1:]):
+        res[x] &= ~(1 << y)
+        res[y] |= 1 << x
+
+
+def _local_connectivity(g: Graph, split: list[int], s: int, t: int, limit: int) -> int:
+    """The number of internally disjoint paths between non-adjacent ``s`` and
+    ``t``, counted up to ``limit``.
+
+    The paths s-w-t through common neighbours w are disjoint, so they either
+    decide the pair at once or seed the flow; the remaining paths come from
+    breadth-first augmentation on bitmask frontiers."""
+    common = g.adj[s] & g.adj[t]
+    flow = common.bit_count()
+    if flow >= limit:
+        return limit
+    source, sink = 2 * s + 1, 2 * t
+    res = split.copy()
+    for w in bits(common):
+        _push(res, [source, 2 * w, 2 * w + 1, sink])
+    # s_in and t_out lie on no useful path; the source is seen from the start.
+    blocked = (1 << source) | (1 << (2 * s)) | (1 << (2 * t + 1))
+    target = 1 << sink
     while flow < limit:
-        parent = [-1] * n2
-        parent[source] = source
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            x = queue.popleft()
-            row = cap[x]
-            for y in range(n2):
-                if row[y] > 0 and parent[y] == -1:
-                    parent[y] = x
-                    queue.append(y)
-        if parent[sink] == -1:
+        seen = blocked
+        frontier = 1 << source
+        layers = []
+        while frontier and not frontier & target:
+            layers.append(frontier)
+            nxt = 0
+            for x in bits(frontier):
+                nxt |= res[x]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if not frontier:
             break
-        y = sink
-        while y != source:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
+        path = [sink]
+        for layer in reversed(layers):
+            y = path[-1]
+            path.append(next(x for x in bits(layer) if (res[x] >> y) & 1))
+        path.reverse()
+        _push(res, path)
         flow += 1
     return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity via unit-capacity max-flow on the vertex-split
-    digraph, minimized over non-adjacent pairs.  Complete graphs give n-1 and
-    disconnected graphs give 0."""
+    """Exact vertex connectivity: the fewest internally disjoint paths between
+    a non-adjacent pair, over Even's pairs, with each flow capped at the best
+    value so far (starting from the minimum degree).  Complete graphs give
+    n-1 and disconnected graphs give 0."""
     n = g.n
     if n <= 1:
         return 0
@@ -262,34 +304,24 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
     if not is_connected(g):
         return 0
-    best = n - 1
-    n2 = 2 * n  # vertex v splits into in-node 2v and out-node 2v+1
-
-    def build() -> list[list[int]]:
-        cap = [[0] * n2 for _ in range(n2)]
-        for v in range(n):
-            cap[2 * v][2 * v + 1] = 1
-            for u in bits(g.adj[v]):
-                cap[2 * v + 1][2 * u] = n
-        return cap
-
-    for s, t in combinations(range(n), 2):
-        if g.has_edge(s, t):
-            continue
-        cap = build()
-        cap[2 * s][2 * s + 1] = n
-        cap[2 * t][2 * t + 1] = n
-        best = min(best, _unit_maxflow(n2, cap, 2 * s + 1, 2 * t, best))
-        if best == 0:
-            break
+    split = _split_rows(g)
+    full = g.vertex_mask()
+    best = min(g.degrees())
+    i = 0
+    while i < best:  # a separator smaller than best misses one of v_0..v_{best-1}
+        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
+            best = min(best, _local_connectivity(g, split, i, j, best))
+        i += 1
     return best
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """Decide kappa(G) >= k by scanning candidate separators of size < k.
+    """Decide kappa(G) >= k with the flow kernel of ``vertex_connectivity``,
+    stopping each pair at k paths and the whole scan at the first pair with
+    fewer.
 
-    Equivalent to ``vertex_connectivity(g) >= k`` but much cheaper when only
-    the comparison is needed, which is the hot case in the constructions.
+    Equivalent to ``vertex_connectivity(g) >= k`` but cheaper when only the
+    comparison is needed, which is the hot case in the constructions.
     """
     if k <= 0:
         return True
@@ -302,11 +334,11 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if min(g.degrees()) < k:
         return False
+    split = _split_rows(g)
     full = g.vertex_mask()
-    for size in range(1, k):
-        for sep in combinations(range(n), size):
-            rest = full & ~mask_of(sep)
-            if rest and not is_connected_mask(g, rest):
+    for i in range(k):
+        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
+            if _local_connectivity(g, split, i, j, k) < k:
                 return False
     return True
 

@@ -12,10 +12,11 @@ from alpha2minor import (
     find_p3_packing,
     join,
     named,
+    random_alpha2,
     select_edge_small_case,
     validate_model,
 )
-from alpha2minor.construct import ceil_half
+from alpha2minor.construct import _complete_minor_fallback, ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
@@ -98,6 +99,24 @@ class TestHalfForm:
                     cert = construct_half_minor(g, ell)
                     assert cert.validated
                     assert validate_model(g, cert.target, cert.model) == []
+
+    def test_fallback_memo_keeps_certificates(self):
+        g = next(
+            h
+            for h in (random_alpha2(11, seed) for seed in range(50))
+            if construct_half_minor(h, 1).trace[0].kind == "FallbackConnectivity"
+        )
+        ells = range(1, ceil_half(g.n) // 2 + 1)
+        assert len(ells) == 3
+        _complete_minor_fallback.cache_clear()
+        warm = [certificate_to_json(construct_half_minor(g, ell)) for ell in ells]
+        assert _complete_minor_fallback.cache_info().hits == len(ells) - 1
+        cold = []
+        for ell in ells:
+            _complete_minor_fallback.cache_clear()
+            cold.append(certificate_to_json(construct_half_minor(g, ell)))
+        assert warm == cold
+        assert _complete_minor_fallback.cache_info().maxsize is not None
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):

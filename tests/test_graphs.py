@@ -1,9 +1,12 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from alpha2minor import (
     Graph,
+    alpha_at_most_two,
     Graph6Error,
     PreconditionError,
     closed_neighborhood,
@@ -14,6 +17,7 @@ from alpha2minor import (
     is_k_connected,
     named,
     parse_graph6,
+    random_alpha2,
     vertex_connectivity,
 )
 from alpha2minor.graphs import bits, delete_vertices, is_connected, mask_of
@@ -193,6 +197,57 @@ class TestVertexConnectivity:
             assert kappa == brute_vertex_connectivity(g)
             for k in range(0, 8):
                 assert is_k_connected(g, k) == (kappa >= k)
+
+
+def _tree(n: int, seed: int) -> Graph:
+    rng = random.Random(f"tree:{n}:{seed}")
+    return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _co_circulant(n: int, steps: set[int]) -> Graph:
+    """Complement of the Cayley graph Cay(Z_n, +-steps)."""
+    diffs = {d % n for s in steps for d in (s, -s)}
+    return Graph.from_edges(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % n not in diffs],
+    )
+
+
+def _assert_kernel_matches_oracle(graphs) -> None:
+    for g in graphs:
+        kappa = brute_vertex_connectivity(g)
+        assert vertex_connectivity(g) == kappa, emit_graph6(g)
+        for k in range(g.n + 1):
+            assert is_k_connected(g, k) == (kappa >= k), (emit_graph6(g), k)
+
+
+class TestConnectivityKernel:
+    """The flow kernel against the separator-scan oracle, for every k."""
+
+    def test_exhaustive_alpha2_universe(self, universe):
+        _assert_kernel_matches_oracle(g for n in range(1, 9) for g in universe(n))
+
+    def test_random_alpha2(self):
+        _assert_kernel_matches_oracle(
+            random_alpha2(n, seed) for n in (11, 13) for seed in range(12)
+        )
+
+    def test_sparse_graphs(self):
+        # Few common neighbours: the flows augment and cancel arcs.
+        _assert_kernel_matches_oracle(named("cycle", n) for n in range(3, 12))
+        _assert_kernel_matches_oracle(_tree(n, seed) for n in (2, 7, 11) for seed in range(5))
+        _assert_kernel_matches_oracle(random_graph(10, 0.25, seed) for seed in range(40))
+
+    @pytest.mark.parametrize(
+        "n,steps,kappa",
+        [(31, {1, 3, 5, 12}, 22), (33, {1, 6, 10, 15}, 24), (35, {1, 7, 11, 16}, 26)],
+    )
+    def test_circulant_complements(self, n, steps, kappa):
+        g = _co_circulant(n, steps)
+        assert alpha_at_most_two(g)
+        assert is_k_connected(g, kappa)
+        assert not is_k_connected(g, kappa + 1)
+        assert vertex_connectivity(g) == kappa
 
 
 class TestGraph6:
