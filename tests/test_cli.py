@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -190,3 +191,53 @@ class TestUsage:
         code2, out2, _ = run(capsys, ["sweep", "5"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _digest(report: str, emit_dir) -> str:
+    """sha256 over a report and every certificate file name and its bytes."""
+    h = hashlib.sha256(report.encode())
+    for path in sorted(emit_dir.iterdir()) if emit_dir.is_dir() else ():
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+JOIN_FACTORS = (
+    (("cycle", 5), ("cycle", 5)),
+    (("cycle", 5), ("complete", 4)),
+    (("petersen_complement",), ("complete", 2)),
+    (("five_wheel",), ("cycle", 5)),
+    (("complete", 3), ("five_wheel",)),
+    (("clique_join_independent", 2, 2), ("cycle", 5)),
+)
+
+GOLDEN = {
+    "sweep_1_7": "987e3bc30cc719c405b9d951f4eb677e46bdc57008210158376988ef0d506a15",
+    "verify_half_random_11": "d5e172201dcf2433a7108dd768f6362e2f5b59bf3a80e62e4894b1d9c2c1a7b9",
+    "verify_chi_joins": "9591a4492fadb7f1c1e1b1486e4fd00a610cad4962302a36b79136b8371af935",
+}
+
+
+def test_golden_reports_and_certificates(capsys, tmp_path):
+    """Reports and emitted certificates stay byte-identical on fixed corpora."""
+    digests = {}
+    emit = tmp_path / "sweep"
+    code, out, _ = run(capsys, ["sweep", "1..7", "--emit", str(emit)])
+    assert code == 0
+    digests["sweep_1_7"] = _digest(out, emit)
+
+    src = tmp_path / "random.g6"
+    code, out, _ = run(capsys, ["gen", "11", "--random", "6", "--seed", "0"])
+    src.write_text(out)
+    emit = tmp_path / "half"
+    code, out, _ = run(capsys, ["verify", str(src), "--half", "--emit", str(emit)])
+    assert code == 0
+    digests["verify_half_random_11"] = _digest(out, emit)
+
+    joins = [emit_graph6(named("join", named(*a), named(*b))) for a, b in JOIN_FACTORS]
+    src = tmp_path / "joins.g6"
+    src.write_text("\n".join(joins) + "\n")
+    emit = tmp_path / "chi"
+    code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
+    assert code == 0
+    digests["verify_chi_joins"] = _digest(out, emit)
+    assert digests == GOLDEN
