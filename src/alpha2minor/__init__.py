@@ -16,14 +16,11 @@ from .errors import (
     InvariantViolation,
     OracleCapExceeded,
     PreconditionError,
-    SearchDeadlineExceeded,
 )
 from .generate import enumerate_alpha2, join, named, random_alpha2
 from .graphs import (
     Graph,
-    closed_neighborhood,
     complement,
-    contract_set,
     emit_graph6,
     induced_subgraph,
     is_k_connected,
@@ -32,25 +29,20 @@ from .graphs import (
 )
 from .invariants import (
     AntiMatching,
-    CapacityReport,
     alpha_at_most_two,
-    capacity,
     chromatic_number_alpha2,
     clique_number,
     co_components,
     is_five_wheel,
-    is_vertex_critical,
     max_anti_matching,
 )
-from .matching import matching_number, maximum_matching
+from .matching import maximum_matching
 from .minors import (
     CliqueJoinIndependent,
     CompleteGraph,
     MinorModel,
     MinorTarget,
     find_minor_bruteforce,
-    model_from_json,
-    model_through_contraction,
     model_to_json,
     validate_model,
 )

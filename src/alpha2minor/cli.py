@@ -15,8 +15,11 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
+from typing import NamedTuple
 
 from .construct import (
     ceil_half,
@@ -26,7 +29,7 @@ from .construct import (
 )
 from .errors import Alpha2Error, OracleCapExceeded
 from .generate import EXHAUSTIVE_CAP_DEFAULT, enumerate_alpha2, random_alpha2
-from .graphs import emit_graph6, is_k_connected, parse_graph6
+from .graphs import Graph, emit_graph6, is_k_connected, parse_graph6
 from .invariants import (
     alpha_at_most_two,
     chromatic_number_alpha2,
@@ -36,6 +39,7 @@ from .invariants import (
 from .minors import (
     CliqueJoinIndependent,
     CompleteGraph,
+    ORACLE_DEFAULT_MAX_N,
     MinorTarget,
     find_minor_bruteforce,
 )
@@ -46,12 +50,17 @@ from .packing import (
 )
 
 
+class UsageError(Exception):
+    """A bad argument, input or output path; ``main`` reports it and exits
+    with code 2."""
+
+
 def _read_lines(path: str | None) -> list[tuple[int, str]]:
     """Non-blank input lines with their 1-based line numbers."""
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(exc) from None
     return [
         (number, line.strip())
         for number, line in enumerate(text.splitlines(), start=1)
@@ -66,164 +75,105 @@ def _cert_filename(line: str, ell: int, form: str) -> str:
 
 def _write_certs(emit_dir: str, certs: list[tuple[str, int, str, dict]]) -> None:
     out = Path(emit_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for line, ell, form, payload in certs:
-        target = out / _cert_filename(line, ell, form)
-        target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for line, ell, form, payload in certs:
+            target = out / _cert_filename(line, ell, form)
+            target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise UsageError(exc) from None
 
 
-def _run_parallel(worker, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with Pool(processes=jobs) as pool:
-        return pool.map(worker, tasks, chunksize=chunk)
+# -- the per-graph check ------------------------------------------------------
 
 
-def _ell_values(policy: str, bound: int) -> list[int]:
-    if policy == "all":
-        return list(range(1, bound // 2 + 1))
-    return [int(policy)]
+@dataclass(frozen=True)
+class Checks:
+    """What the per-graph check runs on each line; every subcommand picks its
+    own and only formats the rows that come back."""
+
+    forms: tuple[str, ...]  # constructor forms, "half" and/or "chi", in row order
+    ells: tuple[int, ...] | None = None  # None: every admissible ell
+    certs: bool = False  # keep the certificate JSON of each ok row
+    screen: bool = True  # skip graphs whose independence number exceeds 2
+    packing: bool = False  # the sweep's packing rows
+    oracle: MinorTarget | None = None  # compare with the brute-force oracle instead
+    cap: int = ORACLE_DEFAULT_MAX_N  # oracle size guard
 
 
-# -- verify ------------------------------------------------------------------
+class Row(NamedTuple):
+    """One check's outcome; form "-" marks a row about the whole graph."""
+
+    ell: int
+    form: str
+    status: str
+    reason: str = ""
 
 
-def _verify_worker(task: tuple[int, str, bool, str]) -> dict:
-    index, line, half, ell_policy = task
-    rows = []
-    certs = []
+def _check_line(checks: Checks, item: tuple[int, str]) -> dict:
+    """Parse one graph6 line and run ``checks`` on it.  Returns the line with
+    its rows and certificates."""
+    index, line = item
+    rows: list[Row] = []
+    certs: list = []
     try:
         g = parse_graph6(line)
     except Alpha2Error as exc:
-        return {
-            "index": index,
-            "line": line,
-            "status": "failed",
-            "rows": [
-                {"ell": 0, "form": "-", "status": "failed", "reason": f"malformed graph6: {exc}"}
-            ],
-            "certs": [],
-        }
-    if not alpha_at_most_two(g):
-        return {
-            "index": index,
-            "line": line,
-            "status": "skipped",
-            "rows": [
-                {"ell": 0, "form": "-", "status": "skipped", "reason": "independence number exceeds 2"}
-            ],
-            "certs": [],
-        }
-    chi = chromatic_number_alpha2(g)
-    bound = ceil_half(g.n) if half else chi
-    form = "half" if half else "chi"
-    constructor = construct_half_minor if half else construct_chi_minor
-    status = "ok"
-    for ell in _ell_values(ell_policy, bound):
-        if ell < 1 or 2 * ell > bound:
-            rows.append(
-                {"ell": ell, "form": form, "status": "skipped", "reason": f"2*ell exceeds {bound}"}
-            )
-            continue
-        try:
-            cert = constructor(g, ell)
-        except Alpha2Error as exc:
-            rows.append({"ell": ell, "form": form, "status": "failed", "reason": str(exc)})
-            status = "failed"
-            continue
-        rows.append({"ell": ell, "form": form, "status": "ok", "reason": ""})
-        certs.append((line, ell, form, certificate_to_json(cert)))
-    return {"index": index, "line": line, "status": status, "rows": rows, "certs": certs}
-
-
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    try:
-        lines = _read_lines(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    tasks = [(number, line, args.half, args.ell) for number, line in lines]
-    results = _run_parallel(_verify_worker, tasks, args.jobs)
-    totals = {"processed": len(results), "succeeded": 0, "failed": 0, "skipped": 0}
-    failures = []
-    all_rows = []
-    certs = []
-    for res in results:
-        totals[
-            {"ok": "succeeded", "failed": "failed", "skipped": "skipped"}[res["status"]]
-        ] += 1
-        for row in res["rows"]:
-            all_rows.append((res["index"], res["line"], row))
-            if row["status"] == "failed":
-                failures.append((res["line"], row["ell"], row["reason"]))
-        certs.extend(res["certs"])
-    if args.emit:
-        try:
-            _write_certs(args.emit, certs)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.format == "json":
-        payload = {
-            "totals": totals,
-            "results": [
-                {"index": i, "graph6": line, **row} for i, line, row in all_rows
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        rows.append(Row(0, "-", "failed", f"malformed graph6: {exc}"))
     else:
-        print("line,graph6,ell,form,status,reason")
-        for i, line, row in all_rows:
-            print(f"{i},{line},{row['ell']},{row['form']},{row['status']},{row['reason']}")
-        print(
-            f"# processed={totals['processed']} succeeded={totals['succeeded']}"
-            f" failed={totals['failed']} skipped={totals['skipped']}"
-        )
-    print(f"verify: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
-    return 1 if failures else 0
+        if checks.oracle is not None:
+            rows.append(_oracle_row(checks, g, line))
+        elif checks.screen and not alpha_at_most_two(g):
+            rows.append(Row(0, "-", "skipped", "independence number exceeds 2"))
+        else:
+            rows, certs = _construct_rows(g, line, checks.forms, checks.ells, checks.certs)
+            if checks.packing:
+                rows += _packing_rows(g)
+    return {"index": index, "line": line, "rows": rows, "certs": certs}
 
 
-# -- sweep -------------------------------------------------------------------
-
-
-def _sweep_worker(task: tuple[str, bool]) -> dict:
-    line, want_certs = task
-    g = parse_graph6(line)
-    n = g.n
+def _construct_rows(
+    g: Graph, line: str, forms: tuple[str, ...], ells: tuple[int, ...] | None, want_certs: bool
+) -> tuple[list[Row], list]:
+    """One row per (form, ell); a constructor's error becomes a failed row."""
+    # Also for the half form: its certificates record chi too.
     chi = chromatic_number_alpha2(g)
-    records = []
+    rows = []
     certs = []
-    for ell in range(1, ceil_half(n) // 2 + 1):
-        try:
-            cert = construct_half_minor(g, ell)
-            records.append((ell, "half", "ok", ""))
+    for form in forms:
+        bound = ceil_half(g.n) if form == "half" else chi
+        constructor = construct_half_minor if form == "half" else construct_chi_minor
+        for ell in ells or range(1, bound // 2 + 1):
+            if 2 * ell > bound:
+                rows.append(Row(ell, form, "skipped", f"2*ell exceeds {bound}"))
+                continue
+            try:
+                cert = constructor(g, ell)
+            except Alpha2Error as exc:
+                rows.append(Row(ell, form, "failed", str(exc)))
+                continue
+            rows.append(Row(ell, form, "ok"))
             if want_certs:
-                certs.append((line, ell, "half", certificate_to_json(cert)))
-        except Alpha2Error as exc:
-            records.append((ell, "half", "failed", str(exc)))
-    for ell in range(1, chi // 2 + 1):
-        try:
-            cert = construct_chi_minor(g, ell)
-            records.append((ell, "chi", "ok", ""))
-            if want_certs:
-                certs.append((line, ell, "chi", certificate_to_json(cert)))
-        except Alpha2Error as exc:
-            records.append((ell, "chi", "failed", str(exc)))
+                certs.append((line, ell, form, certificate_to_json(cert)))
+    return rows, certs
+
+
+def _packing_rows(g: Graph) -> list[Row]:
+    n = g.n
+    rows = []
     for ell in range(1, (n + 2) // 3 + 1):
         if ell == 2 and is_five_wheel(g):
             # The one excluded case: all four conditions hold, yet no packing.
             report = check_packing_conditions(g, 2)
             exceptional = report.all_hold and find_p3_packing(g, 2) is None
             status = "exception" if exceptional else "failed"
-            records.append((ell, "packing_iff", status, "five-wheel exclusion"))
+            rows.append(Row(ell, "packing_iff", status, "five-wheel exclusion"))
             continue
         try:
             ok = verify_packing_characterization(g, ell)
-            records.append((ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
+            rows.append(Row(ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
         except Alpha2Error as exc:
-            records.append((ell, "packing_iff", "failed", str(exc)))
+            rows.append(Row(ell, "packing_iff", "failed", str(exc)))
     # The hypotheses do not depend on ell, and every ell <= (n - 1) // 4 also
     # meets ell <= (n + 3) // 4; n >= 5 is where the ell range is nonempty.
     if (
@@ -234,10 +184,99 @@ def _sweep_worker(task: tuple[str, bool]) -> dict:
     ):
         for ell in range(1, (n - 1) // 4 + 1):
             found = find_p3_packing(g, ell) is not None
-            records.append(
-                (ell, "packing_guarantee", "ok" if found else "failed", "" if found else "no packing")
+            rows.append(
+                Row(ell, "packing_guarantee", "ok" if found else "failed", "" if found else "no packing")
             )
-    return {"line": line, "n": n, "records": records, "certs": certs}
+    return rows
+
+
+def _oracle_row(checks: Checks, g: Graph, line: str) -> Row:
+    """The brute-force oracle's verdict on ``checks.oracle``, checked against
+    the constructor when the target has the constructive form."""
+    target = checks.oracle
+    form = checks.forms[0]
+    try:
+        oracle_model = find_minor_bruteforce(g, target, max_n=checks.cap)
+    except OracleCapExceeded as exc:
+        return Row(0, "-", "skipped", str(exc))
+    oracle_note = "oracle=found" if oracle_model is not None else "oracle=absent"
+    if not alpha_at_most_two(g):
+        return Row(0, "-", "skipped", f"{oracle_note}; independence number exceeds 2")
+    bound = ceil_half(g.n) if form == "half" else chromatic_number_alpha2(g)
+    if (
+        not isinstance(target, CliqueJoinIndependent)
+        or target.m != bound - target.ell
+        or 2 * target.ell > bound
+    ):
+        return Row(0, "-", "skipped", f"{oracle_note}; target not of constructive form")
+    (row,), _ = _construct_rows(g, line, (form,), (target.ell,), False)
+    if row.status == "failed":
+        return row._replace(reason=f"constructor failed: {row.reason}")
+    if oracle_model is None:
+        return row._replace(status="failed", reason="constructor succeeded but oracle found no model")
+    return row._replace(reason=oracle_note)
+
+
+def _check_lines(checks: Checks, items: list[tuple[int, str]], jobs: int) -> list[dict]:
+    """``_check_line`` over ``items``, in input order."""
+    worker = partial(_check_line, checks)
+    if jobs <= 1 or len(items) <= 1:
+        return [worker(item) for item in items]
+    chunk = max(1, len(items) // (4 * jobs))
+    with Pool(processes=jobs) as pool:
+        return pool.map(worker, items, chunksize=chunk)
+
+
+def _graph_status(rows: list[Row]) -> str:
+    if any(row.status == "failed" for row in rows):
+        return "failed"
+    if any(row.form == "-" for row in rows):
+        return "skipped"
+    return "ok"
+
+
+def _totals(results: list[dict]) -> dict:
+    totals = {"processed": len(results), "succeeded": 0, "failed": 0, "skipped": 0}
+    for res in results:
+        status = _graph_status(res["rows"])
+        totals["succeeded" if status == "ok" else status] += 1
+    return totals
+
+
+# -- verify ------------------------------------------------------------------
+
+
+def cmd_verify(args) -> int:
+    t0 = time.monotonic()
+    checks = Checks(
+        forms=("half",) if args.half else ("chi",), ells=args.ell, certs=bool(args.emit)
+    )
+    results = _check_lines(checks, _read_lines(args.input), args.jobs)
+    totals = _totals(results)
+    if args.emit:
+        _write_certs(args.emit, [cert for res in results for cert in res["certs"]])
+    all_rows = [(res["index"], res["line"], row) for res in results for row in res["rows"]]
+    if args.format == "json":
+        payload = {
+            "totals": totals,
+            "results": [
+                {"index": i, "graph6": line, **row._asdict()} for i, line, row in all_rows
+            ],
+        }
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        print("line,graph6,ell,form,status,reason")
+        for i, line, row in all_rows:
+            print(f"{i},{line},{row.ell},{row.form},{row.status},{row.reason}")
+        print(
+            f"# processed={totals['processed']} succeeded={totals['succeeded']}"
+            f" failed={totals['failed']} skipped={totals['skipped']}"
+        )
+    print(f"verify: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
+    return 1 if totals["failed"] else 0
+
+
+# -- sweep -------------------------------------------------------------------
 
 
 def _parse_range(text: str) -> list[int]:
@@ -252,25 +291,21 @@ def cmd_sweep(args) -> int:
     try:
         ns = _parse_range(args.range)
     except ValueError:
-        print(f"error: bad range {args.range!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad range {args.range!r}") from None
     external: dict[int, list] | None = None
     if args.input:
         # alternative exhaustive source: a graph6 file, e.g. from another tool
-        try:
-            lines = _read_lines(args.input)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         external = {}
-        for number, line in lines:
+        for number, line in _read_lines(args.input):
             try:
                 g = parse_graph6(line)
             except Alpha2Error as exc:
-                print(f"error: line {number}: {exc}", file=sys.stderr)
-                return 2
+                raise UsageError(f"line {number}: {exc}") from None
             if alpha_at_most_two(g):
                 external.setdefault(g.n, []).append(g)
+    # Every graph of the universe has independence number at most two, so the
+    # check skips that screen.
+    checks = Checks(forms=("half", "chi"), certs=bool(args.emit), screen=False, packing=True)
     rows = []
     any_failures = False
     all_certs = []
@@ -281,20 +316,19 @@ def cmd_sweep(args) -> int:
             try:
                 universe = enumerate_alpha2(n, cap=args.cap)
             except Alpha2Error as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        tasks = [(emit_graph6(g), bool(args.emit)) for g in universe]
-        results = _run_parallel(_sweep_worker, tasks, args.jobs)
+                raise UsageError(exc) from None
+        items = [(i, emit_graph6(g)) for i, g in enumerate(universe, start=1)]
+        results = _check_lines(checks, items, args.jobs)
         per_ell: dict[int, dict] = {}
         for res in results:
-            for ell, check, status, reason in res["records"]:
+            for row in res["rows"]:
                 agg = per_ell.setdefault(
-                    ell, {"checks": 0, "ok": 0, "failed": 0, "failures": []}
+                    row.ell, {"checks": 0, "ok": 0, "failed": 0, "failures": []}
                 )
                 agg["checks"] += 1
-                if status == "failed":
+                if row.status == "failed":
                     agg["failed"] += 1
-                    agg["failures"].append(f"{res['line']}|{check}|{reason}")
+                    agg["failures"].append(f"{res['line']}|{row.form}|{row.reason}")
                     any_failures = True
                 else:
                     agg["ok"] += 1
@@ -306,29 +340,25 @@ def cmd_sweep(args) -> int:
                 (n, ell, len(universe), agg["checks"], agg["ok"], agg["failed"], agg["failures"])
             )
     if args.emit:
-        try:
-            _write_certs(args.emit, all_certs)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        _write_certs(args.emit, all_certs)
     if args.format == "json":
         payload = [
             {
                 "n": n,
                 "ell": ell,
                 "graphs": graphs,
-                "checks": checks,
+                "checks": n_checks,
                 "ok": ok,
                 "failed": failed,
                 "failures": failures,
             }
-            for n, ell, graphs, checks, ok, failed, failures in rows
+            for n, ell, graphs, n_checks, ok, failed, failures in rows
         ]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print("n,ell,graphs,checks,ok,failed,failures")
-        for n, ell, graphs, checks, ok, failed, failures in rows:
-            print(f"{n},{ell},{graphs},{checks},{ok},{failed},{';'.join(failures)}")
+        for n, ell, graphs, n_checks, ok, failed, failures in rows:
+            print(f"{n},{ell},{graphs},{n_checks},{ok},{failed},{';'.join(failures)}")
     print(f"sweep: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
     return 1 if any_failures else 0
 
@@ -346,91 +376,30 @@ def parse_target(text: str) -> MinorTarget:
     return CompleteGraph(int(body))
 
 
-def _oracle_worker(task: tuple[int, str, str, bool, int]) -> dict:
-    index, line, target_text, half, cap = task
-    target = parse_target(target_text)
-    try:
-        g = parse_graph6(line)
-    except Alpha2Error as exc:
-        return {"index": index, "line": line, "status": "failed", "reason": str(exc)}
-    try:
-        oracle_model = find_minor_bruteforce(g, target, max_n=cap)
-    except OracleCapExceeded as exc:
-        return {"index": index, "line": line, "status": "skipped", "reason": str(exc)}
-    oracle_note = "oracle=found" if oracle_model is not None else "oracle=absent"
-    if not alpha_at_most_two(g):
-        return {
-            "index": index,
-            "line": line,
-            "status": "skipped",
-            "reason": f"{oracle_note}; independence number exceeds 2",
-        }
-    if not isinstance(target, CliqueJoinIndependent):
-        return {
-            "index": index,
-            "line": line,
-            "status": "skipped",
-            "reason": f"{oracle_note}; target not of constructive form",
-        }
-    bound = ceil_half(g.n) if half else chromatic_number_alpha2(g)
-    expected_m = bound - target.ell
-    if target.m != expected_m or 2 * target.ell > bound:
-        return {
-            "index": index,
-            "line": line,
-            "status": "skipped",
-            "reason": f"{oracle_note}; target not of constructive form",
-        }
-    constructor = construct_half_minor if half else construct_chi_minor
-    try:
-        constructor(g, target.ell)
-    except Alpha2Error as exc:
-        return {
-            "index": index,
-            "line": line,
-            "status": "failed",
-            "reason": f"constructor failed: {exc}",
-        }
-    if oracle_model is None:
-        return {
-            "index": index,
-            "line": line,
-            "status": "failed",
-            "reason": "constructor succeeded but oracle found no model",
-        }
-    return {"index": index, "line": line, "status": "ok", "reason": oracle_note}
-
-
 def cmd_oracle_check(args) -> int:
     t0 = time.monotonic()
     try:
-        parse_target(args.target)
+        target = parse_target(args.target)
     except (ValueError, Alpha2Error) as exc:
-        print(f"error: bad target {args.target!r}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lines = _read_lines(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    tasks = [(number, line, args.target, args.half, args.cap) for number, line in lines]
-    results = _run_parallel(_oracle_worker, tasks, args.jobs)
-    failures = [r for r in results if r["status"] == "failed"]
+        raise UsageError(f"bad target {args.target!r}: {exc}") from None
+    checks = Checks(forms=("half",) if args.half else ("chi",), oracle=target, cap=args.cap)
+    results = _check_lines(checks, _read_lines(args.input), args.jobs)
+    totals = _totals(results)
+    # One row per graph.
+    records = [
+        {"index": res["index"], "line": res["line"], "status": row.status, "reason": row.reason}
+        for res in results
+        for row in res["rows"]
+    ]
     if args.format == "json":
-        totals = {
-            "processed": len(results),
-            "succeeded": sum(r["status"] == "ok" for r in results),
-            "failed": len(failures),
-            "skipped": sum(r["status"] == "skipped" for r in results),
-        }
-        print(json.dumps({"totals": totals, "results": results}, sort_keys=True, indent=2))
+        print(json.dumps({"totals": totals, "results": records}, sort_keys=True, indent=2))
     else:
         target_text = f'"{args.target}"' if "," in args.target else args.target
         print("line,graph6,target,status,reason")
-        for r in results:
+        for r in records:
             print(f"{r['index']},{r['line']},{target_text},{r['status']},{r['reason']}")
     print(f"oracle-check: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if totals["failed"] else 0
 
 
 # -- gen -----------------------------------------------------------------------
@@ -445,12 +414,24 @@ def cmd_gen(args) -> int:
             for g in enumerate_alpha2(args.n, cap=args.cap):
                 print(emit_graph6(g))
     except Alpha2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     return 0
 
 
 # -- entry ---------------------------------------------------------------------
+
+
+def _ell_arg(text: str) -> tuple[int, ...] | None:
+    """``--ell``: None for 'all', else the one ell, which must be >= 1."""
+    if text == "all":
+        return None
+    try:
+        ell = int(text)
+    except ValueError:
+        ell = 0
+    if ell < 1:
+        raise argparse.ArgumentTypeError(f"expected 'all' or an integer >= 1, got {text!r}")
+    return (ell,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,14 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the constructor over a graph6 stream")
     common(p_verify)
     p_verify.add_argument("--half", action="store_true", help="use the half-order form")
-    p_verify.add_argument("--ell", default="all", help="a single ell or 'all'")
+    p_verify.add_argument("--ell", type=_ell_arg, default="all", help="a single ell >= 1 or 'all'")
     p_verify.add_argument("--emit", default=None, help="directory for certificate JSON files")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="exhaustively check all alpha<=2 graphs for an n range")
     p_sweep.add_argument("range", help="vertex counts, e.g. 5..8 or 7")
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p_sweep, with_input=False)
     p_sweep.add_argument("--emit", default=None, help="directory for certificate JSON files")
     p_sweep.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP_DEFAULT, help="enumeration cap")
     p_sweep.add_argument(
@@ -493,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_oracle)
     p_oracle.add_argument("--target", required=True, help="K5 (complete) or K2,3 (clique join)")
     p_oracle.add_argument("--half", action="store_true")
-    p_oracle.add_argument("--cap", type=int, default=14, help="oracle size guard")
+    p_oracle.add_argument("--cap", type=int, default=ORACLE_DEFAULT_MAX_N, help="oracle size guard")
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     p_gen = sub.add_parser("gen", help="emit a test universe as graph6 lines")
@@ -507,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

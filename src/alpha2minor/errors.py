@@ -20,10 +20,6 @@ class OracleCapExceeded(Alpha2Error, RuntimeError):
     """
 
 
-class SearchDeadlineExceeded(Alpha2Error, TimeoutError):
-    """A cooperatively cancellable search ran past its deadline."""
-
-
 class InvariantViolation(Alpha2Error, RuntimeError):
     """A step that the construction guarantees to succeed has failed.
 

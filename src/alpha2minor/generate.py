@@ -86,26 +86,15 @@ def _triangle_free_classes(n: int, reverse_order: bool = False) -> tuple[Graph, 
     return level
 
 
-def enumerate_alpha2(
-    n: int, *, dedup: bool = True, cap: int = EXHAUSTIVE_CAP_DEFAULT
-) -> list[Graph]:
-    """All graphs on n vertices with independence number <= 2: the complements
-    of the triangle-free graphs on n vertices, one per isomorphism class when
-    ``dedup`` is set, every labeled one otherwise.  Deterministic order."""
+def enumerate_alpha2(n: int, *, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> list[Graph]:
+    """All graphs on n vertices with independence number <= 2, one per
+    isomorphism class: the complements of the triangle-free graphs on n
+    vertices.  Deterministic order."""
     if n < 0:
         raise PreconditionError("vertex count must be nonnegative")
     if n > cap:
         raise PreconditionError(f"exhaustive enumeration capped at n = {cap}")
-    if dedup:
-        return [complement(g) for g in _triangle_free_classes(n)]
-    level: list[Graph] = [Graph(0, ())]
-    for _ in range(n):
-        level = [
-            _extend_with_vertex(parent, nbr_mask)
-            for parent in level
-            for nbr_mask in _independent_sets(parent)
-        ]
-    return [complement(g) for g in level]
+    return [complement(g) for g in _triangle_free_classes(n)]
 
 
 def random_alpha2(n: int, seed: int) -> Graph:

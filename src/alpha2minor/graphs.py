@@ -113,14 +113,6 @@ def closed_neighborhood_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def closed_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """The vertices of ``vertices`` together with all their neighbors."""
-    mask = mask_of(vertices)
-    if mask & ~g.vertex_mask():
-        raise PreconditionError("vertex out of range")
-    return frozenset(bits(closed_neighborhood_mask(g, mask)))
-
-
 # -- connectivity helpers ----------------------------------------------
 
 
@@ -182,42 +174,6 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int,
     """Induced subgraph on the complement of ``vertices`` (old-to-new map)."""
     drop = set(vertices)
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
-def contract_set(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[frozenset[int], ...]]:
-    """Contract a connected vertex set to a single vertex.
-
-    The contracted vertex takes the smallest label in the set and the other
-    labels are compacted in increasing order.  The returned provenance tuple
-    records, for every new vertex, the original vertices it represents; the
-    provenance sets partition the original vertex set.
-    """
-    smask = mask_of(vertices)
-    if smask == 0:
-        raise PreconditionError("cannot contract the empty set")
-    if smask & ~g.vertex_mask():
-        raise PreconditionError("vertex out of range")
-    if not is_connected_mask(g, smask):
-        raise PreconditionError("contracted set must induce a connected subgraph")
-    rep = (smask & -smask).bit_length() - 1
-    kept_old = sorted(set(bits(g.vertex_mask() & ~smask)) | {rep})
-    old_to_new = {o: i for i, o in enumerate(kept_old)}
-    nbr_of_set = neighborhood_mask(g, smask)
-    rows = [0] * len(kept_old)
-    for o in kept_old:
-        i = old_to_new[o]
-        if o == rep:
-            for u in bits(nbr_of_set):
-                j = old_to_new[u]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        else:
-            for u in bits(g.adj[o] & ~smask):
-                rows[i] |= 1 << old_to_new[u]
-    provenance = tuple(
-        frozenset(bits(smask)) if o == rep else frozenset((o,)) for o in kept_old
-    )
-    return Graph(len(kept_old), tuple(rows)), provenance
 
 
 # -- vertex connectivity -----------------------------------------------

@@ -19,9 +19,7 @@ from .graphs import (
     bits,
     complement,
     connected_component_mask,
-    delete_vertices,
     is_connected_mask,
-    mask_of,
 )
 from .matching import maximum_matching
 
@@ -62,51 +60,6 @@ def max_anti_matching(g: Graph) -> AntiMatching:
     return AntiMatching(tuple(sorted(pairs)))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    """The partition of the vertex set induced by a clique.
-
-    ``complete_part`` sees every clique vertex, ``anticomplete_part`` sees
-    none, ``mixed_part`` sees some but not all.  The capacity of the clique is
-    |mixed| + |complete u anticomplete| / 2; it is stored doubled so that
-    comparisons against integer thresholds stay in integer arithmetic.
-    """
-
-    clique: frozenset[int]
-    complete_part: frozenset[int]
-    anticomplete_part: frozenset[int]
-    mixed_part: frozenset[int]
-    doubled_capacity: int
-
-
-def capacity(g: Graph, clique_vertices) -> CapacityReport:
-    cmask = mask_of(clique_vertices)
-    if cmask == 0:
-        raise PreconditionError("capacity is defined for nonempty cliques")
-    if cmask & ~g.vertex_mask():
-        raise PreconditionError("vertex out of range")
-    members = list(bits(cmask))
-    for v in members:
-        if (g.adj[v] & cmask) != cmask ^ (1 << v):
-            raise PreconditionError("capacity is defined only for cliques")
-    a = b = d = 0
-    for v in bits(g.vertex_mask() & ~cmask):
-        hits = g.adj[v] & cmask
-        if hits == cmask:
-            a |= 1 << v
-        elif hits == 0:
-            b |= 1 << v
-        else:
-            d |= 1 << v
-    return CapacityReport(
-        clique=frozenset(members),
-        complete_part=frozenset(bits(a)),
-        anticomplete_part=frozenset(bits(b)),
-        mixed_part=frozenset(bits(d)),
-        doubled_capacity=2 * d.bit_count() + a.bit_count() + b.bit_count(),
-    )
-
-
 def doubled_capacity_of_mask(g: Graph, cmask: int) -> int:
     """Doubled capacity of a clique given as a mask, skipping validation."""
     a_b = 0
@@ -132,16 +85,6 @@ def is_five_wheel(g: Graph) -> bool:
     return is_connected_mask(g, rim)
 
 
-def is_vertex_critical(g: Graph) -> bool:
-    """True iff deleting any single vertex lowers the chromatic number."""
-    chi = chromatic_number_alpha2(g)
-    for v in range(g.n):
-        h, _ = delete_vertices(g, (v,))
-        if chromatic_number_alpha2(h) == chi:
-            return False
-    return True
-
-
 def co_components(g: Graph) -> list[frozenset[int]]:
     """Connected components of the complement, ordered by smallest member.
 
@@ -162,15 +105,12 @@ def co_components(g: Graph) -> list[frozenset[int]]:
 
 __all__ = [
     "AntiMatching",
-    "CapacityReport",
     "alpha_at_most_two",
-    "capacity",
     "chromatic_number_alpha2",
     "clique_number",
     "co_components",
     "doubled_capacity_of_mask",
     "is_five_wheel",
-    "is_vertex_critical",
     "max_anti_matching",
     "max_clique",
 ]

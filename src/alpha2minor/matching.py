@@ -97,7 +97,3 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
                 u = ppv
 
     return [(v, match[v]) for v in range(n) if match[v] > v]
-
-
-def matching_number(g: Graph) -> int:
-    return len(maximum_matching(g))

@@ -10,12 +10,11 @@ black-box results whose explicit constructions are out of scope.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .cliques import max_clique
-from .errors import OracleCapExceeded, PreconditionError, SearchDeadlineExceeded
+from .errors import OracleCapExceeded
 from .graphs import Graph, bits, is_connected_mask, mask_of
 
 
@@ -128,7 +127,6 @@ def find_minor_bruteforce(
     *,
     max_n: int = ORACLE_DEFAULT_MAX_N,
     node_budget: int = ORACLE_DEFAULT_BUDGET,
-    deadline: float | None = None,
 ) -> MinorModel | None:
     """Exhaustive search for a model of ``target``; ``None`` means no model
     exists.  Raises :class:`OracleCapExceeded` when the instance-size guard or
@@ -145,7 +143,7 @@ def find_minor_bruteforce(
     direct = _direct_subgraph_model(g, ell, m)
     if direct is not None:
         return direct
-    return _seeded_model_search(g, ell, total, node_budget, deadline)
+    return _seeded_model_search(g, ell, total, node_budget)
 
 
 def _direct_subgraph_model(g: Graph, ell: int, m: int) -> MinorModel | None:
@@ -180,9 +178,7 @@ def _direct_subgraph_model(g: Graph, ell: int, m: int) -> MinorModel | None:
     return None
 
 
-def _seeded_model_search(
-    g: Graph, ell: int, total: int, node_budget: int, deadline: float | None
-) -> MinorModel | None:
+def _seeded_model_search(g: Graph, ell: int, total: int, node_budget: int) -> MinorModel | None:
     n = g.n
     ticks = 0
 
@@ -191,8 +187,6 @@ def _seeded_model_search(
         ticks += 1
         if ticks > node_budget:
             raise OracleCapExceeded(f"minor oracle exceeded {node_budget} search nodes")
-        if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
-            raise SearchDeadlineExceeded("minor search deadline expired")
 
     def grown_sets(seed: int, allowed: int, size: int):
         """Connected subsets of ``allowed`` containing ``seed`` with exactly
@@ -267,46 +261,6 @@ def _seeded_model_search(
     return MinorModel(tuple(branch_sets[:ell]), tuple(branch_sets[ell:]))
 
 
-# -- pulling models back through contractions -----------------------------
-
-Provenance = Sequence[frozenset[int]]
-
-
-def model_through_contraction(
-    provenances: Sequence[Provenance], model: MinorModel
-) -> MinorModel:
-    """Pull a model back through a chain of contraction provenance maps.
-
-    ``provenances[t]`` maps each vertex of the graph after contraction ``t`` to
-    the set of vertices it represents in the graph before that contraction;
-    the model lives in the final graph.  Raises on inconsistent chains.
-    """
-    def pull(sets: tuple[frozenset[int], ...], prov: Provenance):
-        for i, s in enumerate(prov):
-            if not s:
-                raise PreconditionError(f"provenance class {i} is empty")
-        out = []
-        for s in sets:
-            acc: set[int] = set()
-            for v in s:
-                if not 0 <= v < len(prov):
-                    raise PreconditionError(
-                        f"model vertex {v} outside provenance domain of size {len(prov)}"
-                    )
-                if acc & prov[v]:
-                    raise PreconditionError("provenance classes overlap")
-                acc |= prov[v]
-            out.append(frozenset(acc))
-        return tuple(out)
-
-    clique = model.clique_side
-    indep = model.independent_side
-    for prov in reversed(list(provenances)):
-        clique = pull(clique, prov)
-        indep = pull(indep, prov)
-    return MinorModel(clique, indep)
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -314,12 +268,6 @@ def target_to_json(target: MinorTarget) -> dict:
     if isinstance(target, CompleteGraph):
         return {"k": target.k}
     return {"ell": target.ell, "m": target.m}
-
-
-def target_from_json(data: dict) -> MinorTarget:
-    if "k" in data:
-        return CompleteGraph(int(data["k"]))
-    return CliqueJoinIndependent(int(data["ell"]), int(data["m"]))
 
 
 def normalized_model(model: MinorModel) -> MinorModel:
@@ -337,12 +285,3 @@ def model_to_json(target: MinorTarget, model: MinorModel) -> dict:
         "clique_side": [sorted(s) for s in norm.clique_side],
         "independent_side": [sorted(s) for s in norm.independent_side],
     }
-
-
-def model_from_json(data: dict) -> tuple[MinorTarget, MinorModel]:
-    target = target_from_json(data["target"])
-    model = MinorModel(
-        tuple(frozenset(s) for s in data["clique_side"]),
-        tuple(frozenset(s) for s in data["independent_side"]),
-    )
-    return target, model

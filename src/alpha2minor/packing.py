@@ -9,11 +9,10 @@ exchange procedure used by the hard case of the minor construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cliques import iter_nonempty_submasks, maximal_cliques
-from .errors import InvariantViolation, PreconditionError, SearchDeadlineExceeded
+from .errors import InvariantViolation, PreconditionError
 from .graphs import Graph, bits, closed_neighborhood_mask, is_k_connected, mask_of
 from .invariants import (
     alpha_at_most_two,
@@ -74,16 +73,14 @@ def _induced_p3_triples(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def find_p3_packing(
-    g: Graph, count: int, deadline: float | None = None
-) -> P3Packing | None:
+def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
     """A packing of exactly ``count`` disjoint induced 3-vertex paths, or
     ``None`` when none exists.  Exhaustive: no false negatives.
 
     Depth-first search branching on the lowest-index undecided vertex, which
     is either covered by one of its induced paths (tried in lexicographic
     order) or discarded; failed (undecided-set, remaining-count) states are
-    memoized.  ``deadline`` (time.monotonic seconds) cancels long searches.
+    memoized.
     """
     if count < 0:
         raise PreconditionError("packing size must be nonnegative")
@@ -97,10 +94,8 @@ def find_p3_packing(
         for v in t:
             by_vertex[v].append(t)
     failed: set[tuple[int, int]] = set()
-    ticks = 0
 
     def search(remaining: int, need: int) -> list[tuple[int, int, int]] | None:
-        nonlocal ticks
         if need == 0:
             return []
         if remaining.bit_count() < 3 * need:
@@ -108,9 +103,6 @@ def find_p3_packing(
         key = (remaining, need)
         if key in failed:
             return None
-        ticks += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchDeadlineExceeded("packing search deadline expired")
         v = (remaining & -remaining).bit_length() - 1
         vbit = 1 << v
         for t in by_vertex[v]:

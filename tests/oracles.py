@@ -7,10 +7,12 @@ search, plain backtracking), so that agreement is meaningful evidence.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from alpha2minor.graphs import Graph, bits
+from alpha2minor.errors import PreconditionError
+from alpha2minor.graphs import Graph, bits, delete_vertices, mask_of
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -147,6 +149,59 @@ def brute_min_doubled_capacity(g: Graph) -> int:
         best = doubled if best is None else min(best, doubled)
     assert best is not None
     return best
+
+
+@dataclass(frozen=True)
+class CapacityReport:
+    """The partition of the vertex set induced by a clique.
+
+    ``complete_part`` sees every clique vertex, ``anticomplete_part`` sees
+    none, ``mixed_part`` sees some but not all.  The capacity of the clique is
+    |mixed| + |complete u anticomplete| / 2; it is stored doubled so that
+    comparisons against integer thresholds stay in integer arithmetic.
+    """
+
+    clique: frozenset[int]
+    complete_part: frozenset[int]
+    anticomplete_part: frozenset[int]
+    mixed_part: frozenset[int]
+    doubled_capacity: int
+
+
+def capacity(g: Graph, clique_vertices) -> CapacityReport:
+    cmask = mask_of(clique_vertices)
+    if cmask == 0:
+        raise PreconditionError("capacity is defined for nonempty cliques")
+    if cmask & ~g.vertex_mask():
+        raise PreconditionError("vertex out of range")
+    members = list(bits(cmask))
+    for v in members:
+        if (g.adj[v] & cmask) != cmask ^ (1 << v):
+            raise PreconditionError("capacity is defined only for cliques")
+    a = b = d = 0
+    for v in bits(g.vertex_mask() & ~cmask):
+        hits = g.adj[v] & cmask
+        if hits == cmask:
+            a |= 1 << v
+        elif hits == 0:
+            b |= 1 << v
+        else:
+            d |= 1 << v
+    return CapacityReport(
+        clique=frozenset(members),
+        complete_part=frozenset(bits(a)),
+        anticomplete_part=frozenset(bits(b)),
+        mixed_part=frozenset(bits(d)),
+        doubled_capacity=2 * d.bit_count() + a.bit_count() + b.bit_count(),
+    )
+
+
+def is_vertex_critical(g: Graph) -> bool:
+    """True iff deleting any single vertex lowers the chromatic number."""
+    chi = brute_chromatic_number(g)
+    return all(
+        brute_chromatic_number(delete_vertices(g, (v,))[0]) < chi for v in range(g.n)
+    )
 
 
 def brute_packing_exists(g: Graph, count: int) -> bool:

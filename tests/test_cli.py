@@ -84,6 +84,13 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("ell", ["foo", "0", "-1"])
+    def test_bad_ell_is_usage_error(self, capsys, ell):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--ell", ell])
+        assert exc.value.code == 2
+        assert "--ell" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_sweep_clean(self, capsys, monkeypatch):
@@ -155,6 +162,16 @@ class TestOracleCheck:
         assert parse_target("K5") == CompleteGraph(5)
         assert parse_target("K2,3") == CliqueJoinIndependent(2, 3)
         assert parse_target("2,3") == CliqueJoinIndependent(2, 3)
+
+    def test_malformed_line_reason_matches_verify(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "in.g6"
+        src.write_text("D!c\n" + C5 + "\n")
+        code, out, _ = run(capsys, ["oracle-check", str(src), "--target", "K1,2"])
+        assert code == 1
+        assert "1,D!c,\"K1,2\",failed,malformed graph6: byte '!' out of graph6 range" in out
+        assert f'2,{C5},"K1,2",ok,oracle=found' in out
+        _, verify_out, _ = run(capsys, ["verify", str(src)])
+        assert "1,D!c,0,-,failed,malformed graph6: byte '!' out of graph6 range" in verify_out
 
     def test_bad_target(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["oracle-check", "--target", "Kx"], stdin="",

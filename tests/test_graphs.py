@@ -9,9 +9,7 @@ from alpha2minor import (
     alpha_at_most_two,
     Graph6Error,
     PreconditionError,
-    closed_neighborhood,
     complement,
-    contract_set,
     emit_graph6,
     induced_subgraph,
     is_k_connected,
@@ -20,7 +18,12 @@ from alpha2minor import (
     random_alpha2,
     vertex_connectivity,
 )
-from alpha2minor.graphs import bits, delete_vertices, is_connected, mask_of
+from alpha2minor.graphs import (
+    closed_neighborhood_mask,
+    delete_vertices,
+    is_connected,
+    mask_of,
+)
 from alpha2minor.iso import are_isomorphic
 from conftest import random_graph
 from oracles import brute_alpha_at_most_two, brute_vertex_connectivity
@@ -106,65 +109,25 @@ class TestInducedSubgraph:
         assert mapping == {u: i for i, u in enumerate(chosen)}
 
 
-class TestContractSet:
-    def test_path_edge_contracts_to_k2(self):
-        h, prov = contract_set(named("path", 3), [0, 1])
-        assert h == named("complete", 2)
-        assert prov == (frozenset({0, 1}), frozenset({2}))
+class TestClosedNeighborhood:
+    def test_empty(self, c5):
+        assert closed_neighborhood_mask(c5, 0) == 0
 
-    def test_three_consecutive_cycle_vertices_give_triangle(self, c5):
-        h, _ = contract_set(c5, [0, 1, 2])
-        assert h.n == 3 and h.is_complete()
+    def test_cycle_pair(self, c5):
+        assert closed_neighborhood_mask(c5, mask_of([0, 1])) == mask_of({0, 1, 2, 4})
 
-    def test_contracted_induced_path_dominates(self, petersen_complement):
-        # With independence number two, a contracted induced 3-vertex path is
+    def test_whole_vertex_set(self, c5):
+        assert closed_neighborhood_mask(c5, c5.vertex_mask()) == c5.vertex_mask()
+
+    def test_induced_path_dominates(self, petersen_complement):
+        # With independence number two, every vertex off an induced 3-vertex
+        # path a1-a2-a3 is adjacent to a1 or a3, so a contracted path is
         # adjacent to every remaining vertex.
         from alpha2minor import find_p3_packing
 
-        triple = find_p3_packing(petersen_complement, 1).triples[0]
-        h, prov = contract_set(petersen_complement, triple)
-        rep = next(i for i, s in enumerate(prov) if len(s) == 3)
-        assert h.degree(rep) == h.n - 1
-
-    @settings(max_examples=100, derandomize=True)
-    @given(graphs_strategy, st.integers(min_value=0, max_value=10**6))
-    def test_provenance_partitions_vertices(self, g, seed):
-        import random
-
-        if g.n == 0:
-            return
-        rng = random.Random(seed)
-        start = rng.randrange(g.n)
-        # grow a small random connected set
-        grown = {start}
-        for _ in range(rng.randrange(0, 4)):
-            frontier = [
-                u for v in grown for u in bits(g.adj[v]) if u not in grown
-            ]
-            if not frontier:
-                break
-            grown.add(rng.choice(sorted(frontier)))
-        h, prov = contract_set(g, grown)
-        assert h.n == g.n - len(grown) + 1
-        all_vertices = sorted(v for s in prov for v in s)
-        assert all_vertices == list(range(g.n))
-
-    def test_errors(self, c5):
-        with pytest.raises(PreconditionError):
-            contract_set(c5, [])
-        with pytest.raises(PreconditionError):
-            contract_set(c5, [0, 2])  # not adjacent, disconnected
-
-
-class TestClosedNeighborhood:
-    def test_empty(self, c5):
-        assert closed_neighborhood(c5, []) == frozenset()
-
-    def test_cycle_pair(self, c5):
-        assert closed_neighborhood(c5, [0, 1]) == frozenset({0, 1, 2, 4})
-
-    def test_whole_vertex_set(self, c5):
-        assert closed_neighborhood(c5, range(5)) == frozenset(range(5))
+        g = petersen_complement
+        triple = find_p3_packing(g, 1).triples[0]
+        assert closed_neighborhood_mask(g, mask_of(triple)) == g.vertex_mask()
 
 
 class TestVertexConnectivity:

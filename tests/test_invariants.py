@@ -3,22 +3,23 @@ import pytest
 from alpha2minor import (
     PreconditionError,
     alpha_at_most_two,
-    capacity,
     chromatic_number_alpha2,
     clique_number,
     co_components,
     is_five_wheel,
-    is_vertex_critical,
     join,
     max_anti_matching,
     named,
 )
+from alpha2minor.invariants import doubled_capacity_of_mask
 from conftest import random_graph
 from oracles import (
     brute_alpha_at_most_two,
     brute_chromatic_number,
     brute_clique_number,
     brute_independence_number,
+    capacity,
+    is_vertex_critical,
 )
 
 
@@ -119,6 +120,7 @@ class TestCapacity:
                     + len(report.mixed_part)
                 )
                 assert total == g.n
+                assert report.doubled_capacity == doubled_capacity_of_mask(g, 1 << v)
 
     def test_errors(self, c5):
         with pytest.raises(PreconditionError):

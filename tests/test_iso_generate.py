@@ -12,7 +12,11 @@ from alpha2minor import (
     named,
     random_alpha2,
 )
-from alpha2minor.generate import _triangle_free_classes
+from alpha2minor.generate import (
+    _extend_with_vertex,
+    _independent_sets,
+    _triangle_free_classes,
+)
 from alpha2minor.graphs import Graph
 from alpha2minor.iso import are_isomorphic, invariant_key
 from conftest import random_graph
@@ -85,10 +89,17 @@ class TestEnumerate:
         assert first == second
 
     def test_labeled_stream_without_dedup(self):
-        # Each labeled triangle-free graph appears exactly once: the chain of
-        # last-vertex deletions is unique.
+        # Growing by one vertex whose neighborhood is an independent set, with
+        # no isomorphism dedup, yields each labeled triangle-free graph exactly
+        # once: the chain of last-vertex deletions is unique.
+        labeled = [Graph(0, ())]
         for n in range(0, 6):
-            labeled = enumerate_alpha2(n, dedup=False)
+            if n:
+                labeled = [
+                    _extend_with_vertex(parent, nbr_mask)
+                    for parent in labeled
+                    for nbr_mask in _independent_sets(parent)
+                ]
             assert len(labeled) == len({g.adj for g in labeled})
             count_by_brute = 0
             from itertools import combinations

@@ -7,15 +7,11 @@ from alpha2minor import (
     CompleteGraph,
     MinorModel,
     OracleCapExceeded,
-    PreconditionError,
     find_minor_bruteforce,
-    model_from_json,
-    model_through_contraction,
     model_to_json,
     named,
     validate_model,
 )
-from alpha2minor.graphs import contract_set
 from conftest import random_graph
 from oracles import naive_model_check
 
@@ -117,17 +113,6 @@ class TestBruteForce:
         with pytest.raises(OracleCapExceeded):
             find_minor_bruteforce(g, CompleteGraph(4), node_budget=10)
 
-    def test_deadline(self):
-        import time
-
-        from alpha2minor import SearchDeadlineExceeded
-
-        g = named("cycle", 12)
-        with pytest.raises(SearchDeadlineExceeded):
-            find_minor_bruteforce(
-                g, CompleteGraph(4), deadline=time.monotonic() - 1.0
-            )
-
     def test_multi_vertex_branch_sets_needed(self, petersen):
         # The Petersen graph has clique number 2 but a K5 minor (contract a
         # perfect matching), so the search must grow non-singleton sets.
@@ -142,65 +127,6 @@ class TestBruteForce:
         assert find_minor_bruteforce(named("cycle", 9), CompleteGraph(4)) is None
 
 
-class TestPullback:
-    def test_identity_chain(self, c5):
-        model = MinorModel((fs(0, 1),), (fs(3),))
-        identity = tuple(frozenset((v,)) for v in range(5))
-        assert model_through_contraction([identity], model) == model
-        assert model_through_contraction([], model) == model
-
-    def test_single_path_contraction(self, petersen_complement):
-        from alpha2minor import find_p3_packing
-
-        g = petersen_complement
-        triple = find_p3_packing(g, 1).triples[0]
-        h, prov = contract_set(g, triple)
-        rep = next(i for i, s in enumerate(prov) if len(s) == 3)
-        other = 0 if rep != 0 else 1
-        model_small = MinorModel((fs(rep),), (fs(other),))
-        pulled = model_through_contraction([prov], model_small)
-        assert pulled.clique_side[0] == frozenset(triple)
-        assert validate_model(g, CliqueJoinIndependent(1, 1), pulled) == []
-
-    def test_composite_chain_validates_in_original(self):
-        g = named("petersen_complement")
-        from alpha2minor import find_p3_packing
-        from alpha2minor.graphs import induced_subgraph
-
-        u, v = 0, 2
-        assert g.has_edge(u, v)
-        h1, prov1 = contract_set(g, (u, v))
-        # find a disjoint induced path avoiding the merged vertex
-        merged = next(i for i, s in enumerate(prov1) if len(s) == 2)
-        sub, mapping = induced_subgraph(h1, [x for x in range(h1.n) if x != merged])
-        triple_sub = find_p3_packing(sub, 1).triples[0]
-        back = {new: old for old, new in mapping.items()}
-        triple_h1 = tuple(back[x] for x in triple_sub)
-        h2, prov2 = contract_set(h1, triple_h1)
-        z_edge = next(i for i, s in enumerate(prov2) if prov1_classes(prov1, s) == 2)
-        z_path = next(i for i, s in enumerate(prov2) if len(s) == 3)
-        spare = next(
-            i
-            for i in range(h2.n)
-            if i not in (z_edge, z_path) and h2.has_edge(i, z_edge)
-        )
-        small = MinorModel((fs(z_edge), fs(z_path)), (fs(spare),))
-        pulled = model_through_contraction([prov1, prov2], small)
-        target = CliqueJoinIndependent(2, 1)
-        assert validate_model(g, target, pulled) == []
-        assert frozenset((u, v)) in pulled.clique_side
-
-    def test_inconsistent_chain(self):
-        model = MinorModel((fs(4),), ())
-        with pytest.raises(PreconditionError):
-            model_through_contraction([(fs(0), fs(1))], model)
-
-
-def prov1_classes(prov1, merged_set):
-    """Number of original vertices represented by a set of level-1 vertices."""
-    return sum(len(prov1[x]) for x in merged_set)
-
-
 class TestJson:
     def test_fragment_roundtrip(self, c5):
         target = CliqueJoinIndependent(1, 2)
@@ -211,12 +137,17 @@ class TestJson:
             "clique_side": [[0, 1]],
             "independent_side": [[2], [4]],
         }
-        back_target, back_model = model_from_json(data)
-        assert back_target == target
-        assert set(back_model.clique_side) == set(model.clique_side)
+        back = MinorModel(
+            tuple(frozenset(s) for s in data["clique_side"]),
+            tuple(frozenset(s) for s in data["independent_side"]),
+        )
+        assert back == MinorModel((fs(0, 1),), (fs(2), fs(4)))
+        assert validate_model(c5, target, back) == []
 
     def test_complete_target_fragment(self):
         data = model_to_json(CompleteGraph(3), MinorModel((fs(0), fs(1), fs(2)), ()))
-        assert data["target"] == {"k": 3}
-        back_target, _ = model_from_json(data)
-        assert back_target == CompleteGraph(3)
+        assert data == {
+            "target": {"k": 3},
+            "clique_side": [[0], [1], [2]],
+            "independent_side": [],
+        }

@@ -1,10 +1,7 @@
-import time
-
 import pytest
 
 from alpha2minor import (
     PreconditionError,
-    SearchDeadlineExceeded,
     check_packing_conditions,
     exchange_improve,
     find_p3_packing,
@@ -46,11 +43,6 @@ class TestFindPacking:
                     assert (found is not None) == brute_packing_exists(g, ell)
                     if found is not None:
                         assert validate_packing(g, found) == []
-
-    def test_deadline_cancellation(self):
-        g = named("petersen_complement")
-        with pytest.raises(SearchDeadlineExceeded):
-            find_p3_packing(g, 3, deadline=time.monotonic() - 1.0)
 
 
 class TestConditions:
