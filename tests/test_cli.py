@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from alpha2minor import emit_graph6, named
+from alpha2minor import emit_graph6, enumerate_alpha2, named
 from alpha2minor.cli import main, parse_target
 from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
 
@@ -231,6 +231,8 @@ GOLDEN = {
     "sweep_1_7": "987e3bc30cc719c405b9d951f4eb677e46bdc57008210158376988ef0d506a15",
     "verify_half_random_11": "d5e172201dcf2433a7108dd768f6362e2f5b59bf3a80e62e4894b1d9c2c1a7b9",
     "verify_chi_joins": "9591a4492fadb7f1c1e1b1486e4fd00a610cad4962302a36b79136b8371af935",
+    "enumerate_8": "e51cef1b696a6aff1619ac94877380c4dca5331fab7f64132b57dbad37aae26b",
+    "enumerate_9": "c32fcc1e73f19129ea4b2bd30b591066f599bb5f7c3edee333f33b26d3587813",
 }
 
 
@@ -257,4 +259,9 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
     assert code == 0
     digests["verify_chi_joins"] = _digest(out, emit)
+
+    # The enumeration order itself, which every sweep report follows.
+    for n in (8, 9):
+        lines = "".join(emit_graph6(g) + "\n" for g in enumerate_alpha2(n))
+        digests[f"enumerate_{n}"] = hashlib.sha256(lines.encode()).hexdigest()
     assert digests == GOLDEN
