@@ -28,13 +28,11 @@ from .graphs import (
     vertex_connectivity,
 )
 from .invariants import (
-    AntiMatching,
     alpha_at_most_two,
     chromatic_number_alpha2,
     clique_number,
     co_components,
     is_five_wheel,
-    max_anti_matching,
 )
 from .matching import maximum_matching
 from .minors import (

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import PreconditionError
 from .graphs import Graph, bits, complement
-from .iso import are_isomorphic, invariant_key
+from .iso import are_isomorphic, invariant_key, refined_colors
 
 EXHAUSTIVE_CAP_DEFAULT = 10
 
@@ -47,43 +47,25 @@ def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
     return Graph(n + 1, tuple(rows))
 
 
-class _IsoClasses:
-    """Representatives of isomorphism classes, bucketed by invariant key."""
-
-    def __init__(self):
-        self.buckets: dict[tuple, list[Graph]] = {}
-        self.order: list[Graph] = []
-
-    def add(self, g: Graph) -> bool:
-        key = invariant_key(g)
-        bucket = self.buckets.setdefault(key, [])
-        for seen in bucket:
-            if are_isomorphic(g, seen):
-                return False
-        bucket.append(g)
-        self.order.append(g)
-        return True
-
-
 @lru_cache(maxsize=32)
-def _triangle_free_classes(n: int, reverse_order: bool = False) -> tuple[Graph, ...]:
+def _triangle_free_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of triangle-free graphs on n
-    vertices.  ``reverse_order`` changes the augmentation order only; the set
-    of classes must not change (exercised by tests)."""
+    vertices: each class keeps its first member generated by extending the
+    representatives on n - 1 vertices, in order, by every independent set."""
     if n == 0:
         return (Graph(0, ()),)
-    level: tuple[Graph, ...] = (Graph(1, (0,)),)
-    for _ in range(n - 1):
-        classes = _IsoClasses()
-        parents = reversed(level) if reverse_order else level
-        for parent in parents:
-            extensions = _independent_sets(parent)
-            if reverse_order:
-                extensions = list(reversed(extensions))
-            for nbr_mask in extensions:
-                classes.add(_extend_with_vertex(parent, nbr_mask))
-        level = tuple(classes.order)
-    return level
+    # Representatives with their refined colors, bucketed by invariant key.
+    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
+    level = []
+    for parent in _triangle_free_classes(n - 1):
+        for nbr_mask in _independent_sets(parent):
+            g = _extend_with_vertex(parent, nbr_mask)
+            colors = refined_colors(g)
+            bucket = buckets.setdefault(invariant_key(g, colors), [])
+            if not any(are_isomorphic(g, colors, h, hc) for h, hc in bucket):
+                bucket.append((g, colors))
+                level.append(g)
+    return tuple(level)
 
 
 def enumerate_alpha2(n: int, *, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> list[Graph]:

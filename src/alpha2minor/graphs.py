@@ -98,14 +98,6 @@ class Graph:
 # -- set-valued neighborhoods ------------------------------------------
 
 
-def neighborhood_mask(g: Graph, mask: int) -> int:
-    """Bitmask of vertices outside ``mask`` with a neighbor inside it."""
-    out = 0
-    for v in bits(mask):
-        out |= g.adj[v]
-    return out & ~mask
-
-
 def closed_neighborhood_mask(g: Graph, mask: int) -> int:
     out = mask
     for v in bits(mask):

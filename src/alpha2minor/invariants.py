@@ -3,13 +3,13 @@
 Key fact used throughout: in such a graph every color class has at most two
 vertices, so a proper coloring is a matching in the complement plus
 singletons, and the chromatic number equals n minus the complement's matching
-number.  That turns the chromatic number, vertex-criticality and the
-anti-matching condition into polynomial matching computations.
+number.  That turns the chromatic number, and with it the anti-matching
+number n - chi that the packing conditions need, into one polynomial matching
+computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cliques import clique_number, max_clique
@@ -42,22 +42,6 @@ def chromatic_number_alpha2(g: Graph) -> int:
     if not alpha_at_most_two(g):
         raise PreconditionError("graph has an independent set of size 3")
     return g.n - len(maximum_matching(complement(g)))
-
-
-@dataclass(frozen=True)
-class AntiMatching:
-    """Disjoint vertex pairs that are pairwise non-adjacent in the graph
-    (a matching of the complement)."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def size(self) -> int:
-        return len(self.pairs)
-
-
-def max_anti_matching(g: Graph) -> AntiMatching:
-    pairs = maximum_matching(complement(g))
-    return AntiMatching(tuple(sorted(pairs)))
 
 
 def doubled_capacity_of_mask(g: Graph, cmask: int) -> int:
@@ -104,13 +88,11 @@ def co_components(g: Graph) -> list[frozenset[int]]:
 
 
 __all__ = [
-    "AntiMatching",
     "alpha_at_most_two",
     "chromatic_number_alpha2",
     "clique_number",
     "co_components",
     "doubled_capacity_of_mask",
     "is_five_wheel",
-    "max_anti_matching",
     "max_clique",
 ]

@@ -3,17 +3,15 @@
 Used to deduplicate enumeration streams.  Refinement colors are canonical
 (ranked by sorted signature), so equal refined-color histograms are necessary
 for isomorphism and give a cheap bucketing invariant; the backtracking matcher
-settles the survivors exactly.
+settles the survivors exactly.  Callers compute each graph's colors once and
+pass them to both.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .graphs import Graph, bits
 
 
-@lru_cache(maxsize=1 << 16)
 def refined_colors(g: Graph) -> tuple[int, ...]:
     """Stable vertex colors under iterated neighborhood-color refinement."""
     nbrs = [list(bits(row)) for row in g.adj]
@@ -30,13 +28,12 @@ def refined_colors(g: Graph) -> tuple[int, ...]:
         colors = new
 
 
-@lru_cache(maxsize=1 << 16)
-def invariant_key(g: Graph) -> tuple:
-    """An isomorphism-invariant bucketing key (not a complete invariant).
+def invariant_key(g: Graph, colors: tuple[int, ...]) -> tuple:
+    """An isomorphism-invariant bucketing key (not a complete invariant) from
+    ``colors = refined_colors(g)``.
 
     Records the histogram of stable colors together with each color's
     neighbor-color multiset (well defined by stability)."""
-    colors = refined_colors(g)
     hist: dict[int, int] = {}
     profile: dict[int, tuple[int, ...]] = {}
     for v, c in enumerate(colors):
@@ -51,11 +48,10 @@ def invariant_key(g: Graph) -> tuple:
     )
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
+def are_isomorphic(g: Graph, gc: tuple[int, ...], h: Graph, hc: tuple[int, ...]) -> bool:
+    """Whether ``g`` and ``h`` are isomorphic, given their refined colors."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    gc = refined_colors(g)
-    hc = refined_colors(h)
     if sorted(gc) != sorted(hc):
         return False
     n = g.n

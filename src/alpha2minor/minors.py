@@ -26,9 +26,6 @@ class CompleteGraph:
         if self.k < 1:
             raise ValueError("complete-graph target needs k >= 1")
 
-    def total_sets(self) -> int:
-        return self.k
-
 
 @dataclass(frozen=True)
 class CliqueJoinIndependent:
@@ -40,9 +37,6 @@ class CliqueJoinIndependent:
     def __post_init__(self):
         if self.ell < 1 or self.m < 0:
             raise ValueError("clique-join target needs ell >= 1 and m >= 0")
-
-    def total_sets(self) -> int:
-        return self.ell + self.m
 
 
 MinorTarget = Union[CompleteGraph, CliqueJoinIndependent]

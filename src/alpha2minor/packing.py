@@ -16,9 +16,9 @@ from .errors import InvariantViolation, PreconditionError
 from .graphs import Graph, bits, closed_neighborhood_mask, is_k_connected, mask_of
 from .invariants import (
     alpha_at_most_two,
+    chromatic_number_alpha2,
     doubled_capacity_of_mask,
     is_five_wheel,
-    max_anti_matching,
 )
 
 
@@ -34,9 +34,6 @@ class P3Packing:
 
     def vertex_mask(self) -> int:
         return mask_of(v for t in self.triples for v in t)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for t in self.triples for v in t)
 
 
 def validate_packing(g: Graph, packing: P3Packing) -> list[str]:
@@ -203,7 +200,8 @@ def check_packing_conditions(g: Graph, ell: int) -> PackingConditionReport:
         connectivity_ok=is_k_connected(g, ell),
         min_capacity_clique=witness,
         min_doubled_capacity=doubled,
-        anti_matching_ok=max_anti_matching(g).size() >= ell,
+        # The anti-matching number is the complement's matching number, n - chi.
+        anti_matching_ok=g.n - chromatic_number_alpha2(g) >= ell,
         five_wheel_exception=is_five_wheel(g),
     )
 

@@ -4,6 +4,7 @@ import pytest
 
 from alpha2minor import enumerate_alpha2, named
 from alpha2minor.graphs import Graph
+from alpha2minor.iso import are_isomorphic, refined_colors
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """``are_isomorphic`` with each graph's refined colors computed here."""
+    return are_isomorphic(g, refined_colors(g), h, refined_colors(h))

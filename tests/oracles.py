@@ -283,17 +283,26 @@ def brute_canonical_form(g: Graph) -> tuple:
 
 
 def brute_triangle_free_class_count(n: int) -> int:
-    """Triangle-free isomorphism classes by raw edge-subset enumeration with
-    permutation-canonical deduplication; n <= 6 only."""
+    """Triangle-free isomorphism classes by raw edge-subset enumeration: the
+    first edge set of each class marks its images under all n! vertex
+    permutations as seen; n <= 6 only."""
     pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    triangles = [
+        (1 << index[(a, b)]) | (1 << index[(a, c)]) | (1 << index[(b, c)])
+        for a, b, c in combinations(range(n), 3)
+    ]
+    # images[p][i]: the bit of edge i's image under permutation p.
+    images = [
+        [1 << index[(min(perm[u], perm[v]), max(perm[u], perm[v]))] for u, v in pairs]
+        for perm in permutations(range(n))
+    ]
     seen = set()
+    classes = 0
     for picks in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (picks >> i) & 1]
-        g = Graph.from_edges(n, edges)
-        if any(
-            g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-            for a, b, c in combinations(range(n), 3)
-        ):
+        if picks in seen or any(t & picks == t for t in triangles):
             continue
-        seen.add(brute_canonical_form(g))
-    return len(seen)
+        classes += 1
+        for image in images:
+            seen.add(sum(bit for i, bit in enumerate(image) if picks >> i & 1))
+    return classes

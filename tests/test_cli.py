@@ -71,6 +71,20 @@ class TestVerify:
         assert code == 0
         assert f"1,{PC},2,half,ok," in out
 
+    def test_only_skipped_rows_is_not_success(self, capsys, monkeypatch):
+        # chi(C5) = 3, so ell = 5 is out of range and nothing is checked.
+        argv = ["verify", "--ell", "5"]
+        code, out, _ = run(capsys, argv, stdin=C5 + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert f"1,{C5},5,chi,skipped,2*ell exceeds 3" in out
+        assert "# processed=1 succeeded=0 failed=0 skipped=1" in out
+
+    def test_empty_graph_is_not_success(self, capsys, monkeypatch):
+        # The graph on no vertices has no admissible ell, so it gets no rows.
+        code, out, _ = run(capsys, ["verify"], stdin="@\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.splitlines()[1:] == ["# processed=1 succeeded=0 failed=0 skipped=1"]
+
     def test_json_format(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "in.g6"
         src.write_text(C5 + "\n")

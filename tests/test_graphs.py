@@ -24,8 +24,7 @@ from alpha2minor.graphs import (
     is_connected,
     mask_of,
 )
-from alpha2minor.iso import are_isomorphic
-from conftest import random_graph
+from conftest import isomorphic, random_graph
 from oracles import brute_alpha_at_most_two, brute_vertex_connectivity
 
 graphs_strategy = st.builds(
@@ -57,7 +56,7 @@ class TestGraphType:
 
 class TestComplement:
     def test_c5_self_complementary(self, c5):
-        assert are_isomorphic(complement(c5), c5)
+        assert isomorphic(complement(c5), c5)
 
     def test_complete_gives_edgeless(self):
         for n in range(6):

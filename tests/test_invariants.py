@@ -4,11 +4,13 @@ from alpha2minor import (
     PreconditionError,
     alpha_at_most_two,
     chromatic_number_alpha2,
+    check_packing_conditions,
     clique_number,
     co_components,
+    complement,
     is_five_wheel,
     join,
-    max_anti_matching,
+    maximum_matching,
     named,
 )
 from alpha2minor.invariants import doubled_capacity_of_mask
@@ -130,23 +132,30 @@ class TestCapacity:
 
 
 class TestAntiMatching:
+    """An anti-matching is a set of disjoint non-adjacent pairs: a matching of
+    the complement."""
+
     def test_examples(self, c5, five_wheel):
-        assert max_anti_matching(named("complete", 6)).size() == 0
-        assert max_anti_matching(c5).size() == 2
-        assert max_anti_matching(five_wheel).size() == 2
+        assert len(maximum_matching(complement(named("complete", 6)))) == 0
+        assert len(maximum_matching(complement(c5))) == 2
+        assert len(maximum_matching(complement(five_wheel))) == 2
 
     def test_pairs_disjoint_and_nonadjacent(self):
         for seed in range(40):
             g = random_graph(9, 0.6, seed)
-            am = max_anti_matching(g)
-            used = [v for p in am.pairs for v in p]
+            pairs = maximum_matching(complement(g))
+            used = [v for p in pairs for v in p]
             assert len(used) == len(set(used))
-            assert all(not g.has_edge(u, v) for u, v in am.pairs)
+            assert all(not g.has_edge(u, v) for u, v in pairs)
 
     def test_size_complements_chromatic_number(self, universe):
+        # The packing conditions read the anti-matching number as n - chi.
         for n in range(1, 8):
             for g in universe(n):
-                assert max_anti_matching(g).size() == n - chromatic_number_alpha2(g)
+                size = len(maximum_matching(complement(g)))
+                assert size == n - brute_chromatic_number(g)
+                for ell in range(1, (n + 2) // 3 + 1):
+                    assert check_packing_conditions(g, ell).anti_matching_ok == (size >= ell)
 
 
 class TestFiveWheel:
