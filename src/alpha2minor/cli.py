@@ -292,7 +292,9 @@ def cmd_sweep(args) -> int:
     try:
         ns = _parse_range(args.range)
     except ValueError:
-        raise UsageError(f"bad range {args.range!r}") from None
+        ns = []
+    if not ns:
+        raise UsageError(f"bad range {args.range!r}")
     external: dict[int, list] | None = None
     if args.input:
         # alternative exhaustive source: a graph6 file, e.g. from another tool
@@ -435,6 +437,17 @@ def _ell_arg(text: str) -> tuple[int, ...] | None:
     return (ell,)
 
 
+def _count_arg(text: str) -> int:
+    """``--random``: how many graphs to emit, an integer >= 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alpha2minor",
@@ -479,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a test universe as graph6 lines")
     p_gen.add_argument("n", type=int)
-    p_gen.add_argument("--random", type=int, default=None, help="emit this many random graphs")
+    p_gen.add_argument("--random", type=_count_arg, default=None, help="emit this many random graphs")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP_DEFAULT)
     p_gen.set_defaults(func=cmd_gen)

@@ -1,4 +1,4 @@
-"""Clique search kernels: exact maximum clique and maximal-clique enumeration."""
+"""Exact maximum clique by branch and bound."""
 
 from __future__ import annotations
 
@@ -57,41 +57,3 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
 
 def clique_number(g: Graph) -> int:
     return max_clique(g)[0]
-
-
-def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), in a deterministic
-    order sorted by member tuple."""
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        # Pivot on the vertex of p|x with most candidates in p.
-        pivot = -1
-        best = -1
-        for u in bits(p | x):
-            cnt = (p & g.adj[u]).bit_count()
-            if cnt > best:
-                best = cnt
-                pivot = u
-        ext = p & ~g.adj[pivot]
-        for v in bits(ext):
-            bk(r | (1 << v), p & g.adj[v], x & g.adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    if g.n:
-        bk(0, g.vertex_mask(), 0)
-    sets = [frozenset(bits(m)) for m in out]
-    sets.sort(key=sorted)
-    return sets
-
-
-def iter_nonempty_submasks(mask: int):
-    """Every nonempty submask of ``mask`` (subsets of a clique are cliques)."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask

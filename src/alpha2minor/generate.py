@@ -14,26 +14,10 @@ import random
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits, complement, independent_sets
 from .iso import are_isomorphic, invariant_key, refined_colors
 
 EXHAUSTIVE_CAP_DEFAULT = 10
-
-
-def _independent_sets(g: Graph) -> list[int]:
-    """All independent-set masks of ``g`` (including the empty set)."""
-    out = []
-
-    def extend(mask: int, candidates: int) -> None:
-        out.append(mask)
-        while candidates:
-            vbit = candidates & -candidates
-            candidates ^= vbit
-            v = vbit.bit_length() - 1
-            extend(mask | vbit, candidates & ~g.adj[v])
-
-    extend(0, g.vertex_mask())
-    return sorted(out)
 
 
 def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
@@ -58,7 +42,7 @@ def _triangle_free_classes(n: int) -> tuple[Graph, ...]:
     buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
     level = []
     for parent in _triangle_free_classes(n - 1):
-        for nbr_mask in _independent_sets(parent):
+        for nbr_mask in independent_sets(parent):
             g = _extend_with_vertex(parent, nbr_mask)
             colors = refined_colors(g)
             bucket = buckets.setdefault(invariant_key(g, colors), [])

@@ -144,6 +144,23 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
 
 
+def independent_sets(g: Graph) -> list[int]:
+    """All independent-set masks of ``g`` (including the empty set), sorted;
+    applied to the complement, all clique masks."""
+    out = []
+
+    def extend(mask: int, candidates: int) -> None:
+        out.append(mask)
+        while candidates:
+            vbit = candidates & -candidates
+            candidates ^= vbit
+            v = vbit.bit_length() - 1
+            extend(mask | vbit, candidates & ~g.adj[v])
+
+    extend(0, g.vertex_mask())
+    return sorted(out)
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on ``vertices``, re-indexed 0..k-1 in increasing label
     order.  Returns the new graph and the old-to-new index map."""

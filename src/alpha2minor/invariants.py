@@ -19,6 +19,7 @@ from .graphs import (
     bits,
     complement,
     connected_component_mask,
+    independent_sets,
     is_connected_mask,
 )
 from .matching import maximum_matching
@@ -55,6 +56,22 @@ def doubled_capacity_of_mask(g: Graph, cmask: int) -> int:
         else:
             d += 1
     return 2 * d + a_b
+
+
+@lru_cache(maxsize=64)
+def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
+    """Minimum doubled capacity over every nonempty clique, with a witness:
+    among the minimizers, fewest vertices, then smallest mask.  The cliques
+    are the complement's independent sets.  The sweep asks for every ell of
+    one graph in a row, so a few cache entries suffice."""
+    if g.n == 0:
+        raise PreconditionError("no cliques in the empty graph")
+    doubled, _, mask = min(
+        (doubled_capacity_of_mask(g, m), m.bit_count(), m)
+        for m in independent_sets(complement(g))
+        if m
+    )
+    return doubled, frozenset(bits(mask))
 
 
 def is_five_wheel(g: Graph) -> bool:
@@ -95,4 +112,5 @@ __all__ = [
     "doubled_capacity_of_mask",
     "is_five_wheel",
     "max_clique",
+    "minimum_clique_capacity",
 ]

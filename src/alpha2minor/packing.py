@@ -3,22 +3,24 @@
 Also houses the four-condition feasibility checker (size, connectivity,
 minimum clique capacity, anti-matching) whose conjunction characterizes the
 existence of such a packing in graphs with independence number two, up to the
-single five-wheel exception at packing size two, and the measure-increasing
-exchange procedure used by the hard case of the minor construction.
+single five-wheel exception at packing size two (Chudnovsky and Seymour,
+"Packing seagulls"), and the measure-increasing exchange procedure used by
+the hard case of the minor construction.  The clique capacity is the exact
+minimum over all cliques, computed once per graph in ``invariants``, and
+compared with 2 * ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliques import iter_nonempty_submasks, maximal_cliques
 from .errors import InvariantViolation, PreconditionError
 from .graphs import Graph, bits, closed_neighborhood_mask, is_k_connected, mask_of
 from .invariants import (
     alpha_at_most_two,
     chromatic_number_alpha2,
-    doubled_capacity_of_mask,
     is_five_wheel,
+    minimum_clique_capacity,
 )
 
 
@@ -146,37 +148,6 @@ class PackingConditionReport:
         )
 
 
-def minimum_clique_capacity(g: Graph, ell: int) -> tuple[int, frozenset[int]]:
-    """Minimum doubled capacity over cliques, with a witness clique.
-
-    Scans maximal cliques first; any maximal clique whose doubled capacity is
-    below 2*ell + 2 triggers exhaustive enumeration of its sub-cliques, so the
-    verdict against the threshold 2*ell never rests on an unproved locality
-    assumption.  The witness is the minimum over the scanned family.
-    """
-    if g.n == 0:
-        raise PreconditionError("no cliques in the empty graph")
-    best = None
-    best_mask = 0
-    seen: set[int] = set()
-    for clique in maximal_cliques(g):
-        cmask = mask_of(clique)
-        candidates = [cmask]
-        if doubled_capacity_of_mask(g, cmask) < 2 * ell + 2:
-            candidates = list(iter_nonempty_submasks(cmask))
-        for sub in candidates:
-            if sub in seen:
-                continue
-            seen.add(sub)
-            doubled = doubled_capacity_of_mask(g, sub)
-            key = (doubled, sub.bit_count(), sub)
-            if best is None or key < best:
-                best = key
-                best_mask = sub
-    assert best is not None
-    return best[0], frozenset(bits(best_mask))
-
-
 def check_packing_conditions(g: Graph, ell: int) -> PackingConditionReport:
     """Evaluate all four packing-feasibility conditions at size ``ell``."""
     if ell < 0:
@@ -193,7 +164,7 @@ def check_packing_conditions(g: Graph, ell: int) -> PackingConditionReport:
             anti_matching_ok=(ell == 0),
             five_wheel_exception=False,
         )
-    doubled, witness = minimum_clique_capacity(g, ell)
+    doubled, witness = minimum_clique_capacity(g)
     return PackingConditionReport(
         ell=ell,
         size_ok=g.n >= 3 * ell,

@@ -149,6 +149,13 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "x..y"])
         assert code == 2
 
+    def test_empty_range_is_usage_error(self, capsys):
+        # A range that checks nothing must not report success.
+        code, out, err = run(capsys, ["sweep", "5..3"])
+        assert code == 2
+        assert out == ""
+        assert "bad range '5..3'" in err
+
 
 class TestOracleCheck:
     def test_matching_target(self, capsys, monkeypatch, tmp_path):
@@ -209,6 +216,12 @@ class TestGen:
     def test_cap(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["gen", "12"])
         assert code == 2
+
+    def test_negative_random_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "5", "--random", "-2"])
+        assert exc.value.code == 2
+        assert "--random" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -12,12 +12,8 @@ from alpha2minor import (
     named,
     random_alpha2,
 )
-from alpha2minor.generate import (
-    _extend_with_vertex,
-    _independent_sets,
-    _triangle_free_classes,
-)
-from alpha2minor.graphs import Graph
+from alpha2minor.generate import _extend_with_vertex, _triangle_free_classes
+from alpha2minor.graphs import Graph, independent_sets
 from alpha2minor.iso import are_isomorphic, invariant_key, refined_colors
 from conftest import isomorphic, random_graph
 from oracles import brute_canonical_form, brute_triangle_free_class_count
@@ -70,7 +66,7 @@ class TestEnumerate:
         for n in range(1, 8):
             reps = []
             for parent in reversed(backward):
-                for nbr_mask in reversed(_independent_sets(parent)):
+                for nbr_mask in reversed(independent_sets(parent)):
                     g = _extend_with_vertex(parent, nbr_mask)
                     colors = refined_colors(g)
                     if not any(are_isomorphic(g, colors, h, hc) for h, hc in reps):
@@ -107,7 +103,7 @@ class TestEnumerate:
                 labeled = [
                     _extend_with_vertex(parent, nbr_mask)
                     for parent in labeled
-                    for nbr_mask in _independent_sets(parent)
+                    for nbr_mask in independent_sets(parent)
                 ]
             assert len(labeled) == len({g.adj for g in labeled})
             count_by_brute = 0

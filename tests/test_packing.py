@@ -9,12 +9,9 @@ from alpha2minor import (
     validate_packing,
     verify_packing_characterization,
 )
-from alpha2minor.graphs import Graph
-from alpha2minor.packing import (
-    P3Packing,
-    minimum_clique_capacity,
-    uncovered_outside_neighborhood,
-)
+from alpha2minor.graphs import Graph, parse_graph6
+from alpha2minor.invariants import minimum_clique_capacity
+from alpha2minor.packing import P3Packing, uncovered_outside_neighborhood
 from oracles import brute_min_doubled_capacity, brute_packing_exists
 
 
@@ -52,11 +49,11 @@ class TestConditions:
         assert report.capacity_ok and report.anti_matching_ok
         assert not report.five_wheel_exception
         assert report.all_hold
-        # At threshold 1 every maximal clique (an edge, doubled capacity 5)
-        # clears the bound with margin, so sub-cliques are not scanned.
-        assert report.min_doubled_capacity == 5
-        # At threshold 2 the margin is gone and the exhaustive scan finds the
-        # true minimum: a single cycle vertex with doubled capacity 4.
+        # The minimum is over every clique, whatever ell is: a single cycle
+        # vertex (two complete and two anticomplete vertices) has doubled
+        # capacity 4, below an edge's 5 (two mixed, one anticomplete).
+        assert report.min_doubled_capacity == 4
+        assert report.min_capacity_clique == frozenset({0})
         tight = check_packing_conditions(c5, 2)
         assert tight.min_doubled_capacity == 4
         assert tight.min_capacity_clique == frozenset({0})
@@ -83,15 +80,19 @@ class TestConditions:
             )
 
     def test_minimum_capacity_matches_all_clique_scan(self, universe):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for g in universe(n):
-                expected = brute_min_doubled_capacity(g)
-                for ell in (0, 1, 2, 3):
-                    got, _ = minimum_clique_capacity(g, ell)
-                    assert (got >= 2 * ell) == (expected >= 2 * ell)
-                # with a high threshold the scan is fully exhaustive
-                got, _ = minimum_clique_capacity(g, n)
-                assert got == expected
+                assert minimum_clique_capacity(g)[0] == brute_min_doubled_capacity(g)
+        # Removing vertex 0 from the maximal clique {0, 1, 2, 3} turns mixed
+        # vertices into complete ones, so the minimum lies at a sub-clique of
+        # a maximal clique whose own doubled capacity (8) clears 2 * 3.
+        g = parse_graph6("G~]K[[")
+        assert minimum_clique_capacity(g) == (5, frozenset({1, 2, 3}))
+        assert brute_min_doubled_capacity(g) == 5
+        report = check_packing_conditions(g, 3)
+        assert report.min_doubled_capacity == 5
+        assert report.min_capacity_clique == frozenset({1, 2, 3})
+        assert not report.capacity_ok
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
