@@ -1,9 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from alpha2minor import emit_graph6, enumerate_alpha2, named
+from alpha2minor import emit_graph6, enumerate_alpha2, named, random_alpha2
 from alpha2minor.cli import main, parse_target
 from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
 
@@ -254,10 +255,21 @@ JOIN_FACTORS = (
     (("clique_join_independent", 2, 2), ("cycle", 5)),
 )
 
+# Joins of two random factors of odd order: chi < ceil(n/2), so the chi form
+# deletes noncritical vertices, and two of the 9 + 9 joins reach ParityGlue.
+RANDOM_JOIN_FACTORS = tuple(
+    (a, b, seed)
+    for a in (5, 7, 9, 11)
+    for b in (5, 7, 9, 11)
+    if a <= b
+    for seed in range(3)
+)
+
 GOLDEN = {
     "sweep_1_7": "987e3bc30cc719c405b9d951f4eb677e46bdc57008210158376988ef0d506a15",
     "verify_half_random_11": "d5e172201dcf2433a7108dd768f6362e2f5b59bf3a80e62e4894b1d9c2c1a7b9",
     "verify_chi_joins": "9591a4492fadb7f1c1e1b1486e4fd00a610cad4962302a36b79136b8371af935",
+    "verify_chi_random_joins": "43289240722d9f7feab661e7ad84e779c9275580ef1aeab33f6bd9c4bd3e8e4b",
     "enumerate_8": "e51cef1b696a6aff1619ac94877380c4dca5331fab7f64132b57dbad37aae26b",
     "enumerate_9": "c32fcc1e73f19129ea4b2bd30b591066f599bb5f7c3edee333f33b26d3587813",
 }
@@ -286,6 +298,23 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
     assert code == 0
     digests["verify_chi_joins"] = _digest(out, emit)
+
+    joins = [
+        emit_graph6(named("join", random_alpha2(a, seed), random_alpha2(b, seed)))
+        for a, b, seed in RANDOM_JOIN_FACTORS
+    ]
+    src = tmp_path / "random_joins.g6"
+    src.write_text("\n".join(joins) + "\n")
+    emit = tmp_path / "chi_random"
+    code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
+    assert code == 0
+    kinds = Counter(
+        step["kind"]
+        for path in emit.iterdir()
+        for step in json.loads(path.read_text())["trace"]
+    )
+    assert kinds["DeleteNoncriticalVertex"] >= 100 and kinds["ParityGlue"] >= 1
+    digests["verify_chi_random_joins"] = _digest(out, emit)
 
     # The enumeration order itself, which every sweep report follows.
     for n in (8, 9):
