@@ -306,6 +306,11 @@ def cmd_sweep(args) -> int:
                 raise UsageError(f"line {number}: {exc}") from None
             if alpha_at_most_two(g):
                 external.setdefault(g.n, []).append(g)
+        if not any(n in external for n in ns):
+            raise UsageError(
+                f"{args.input} has no graph of order {args.range}"
+                " with independence number at most two"
+            )
     # Every graph of the universe has independence number at most two, so the
     # check skips that screen.
     checks = Checks(forms=("half", "chi"), certs=bool(args.emit), screen=False, packing=True)

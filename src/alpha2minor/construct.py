@@ -30,6 +30,7 @@ from .invariants import (
     chromatic_number_alpha2,
     clique_number,
     co_components,
+    critical_vertices,
 )
 from .minors import (
     CliqueJoinIndependent,
@@ -349,12 +350,19 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
             )
         _step(trace, "DelegateHalf", g)
         return _half_model(g, ell, trace)
-    for x in range(n):
+    noncritical = g.vertex_mask() & ~critical_vertices(g)
+    if noncritical:
+        x = (noncritical & -noncritical).bit_length() - 1
         h, old_to_new = delete_vertices(g, (x,))
-        if chromatic_number_alpha2(h) == chi:
-            _step(trace, "DeleteNoncriticalVertex", g, vertex=x)
-            return _relabel_model(_chi_model(h, ell, chi, trace), _invert(old_to_new))
-    # Vertex-critical and n <= 2*chi - 2: the complement must be disconnected.
+        if chromatic_number_alpha2(h) != chi:
+            raise InvariantViolation(
+                "deleting a vertex outside the Gallai-Edmonds set lowered chi",
+                {"graph6": emit_graph6(g), "chi": chi, "vertex": x},
+            )
+        _step(trace, "DeleteNoncriticalVertex", g, vertex=x)
+        return _relabel_model(_chi_model(h, ell, chi, trace), _invert(old_to_new))
+    # Every vertex is in D, so G is vertex-critical, and n <= 2*chi - 2: the
+    # complement must be disconnected.
     comps = co_components(g)
     if len(comps) == 1:
         raise InvariantViolation(
@@ -470,14 +478,13 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
 
 def _critical_nonadjacent_pair(gi: Graph, chii: int) -> tuple[int, int] | None:
     """Lexicographically first non-adjacent pair whose one-by-one and joint
-    deletions all leave chromatic number chii - 1."""
-    def drops_to_target(vertices: tuple[int, ...]) -> bool:
-        h, _ = delete_vertices(gi, vertices)
-        return chromatic_number_alpha2(h) == chii - 1
-    singles = [x for x in range(gi.n) if drops_to_target((x,))]
-    ok = set(singles)
-    for x in singles:
-        for y in range(x + 1, gi.n):
-            if y in ok and not gi.has_edge(x, y) and drops_to_target((x, y)):
+    deletions all leave chromatic number chii - 1.  The vertices whose
+    deletion alone does that are the Gallai-Edmonds set D of the
+    complement."""
+    singles = critical_vertices(gi)
+    for x in bits(singles):
+        for y in bits(singles & ~gi.adj[x] & ~((2 << x) - 1)):
+            h, _ = delete_vertices(gi, (x, y))
+            if chromatic_number_alpha2(h) == chii - 1:
                 return (x, y)
     return None

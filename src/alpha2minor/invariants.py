@@ -5,7 +5,11 @@ vertices, so a proper coloring is a matching in the complement plus
 singletons, and the chromatic number equals n minus the complement's matching
 number.  That turns the chromatic number, and with it the anti-matching
 number n - chi that the packing conditions need, into one polynomial matching
-computation.
+computation, cached per graph.  The same matching also gives criticality:
+chi(G - x) = chi(G) exactly when every maximum matching of the complement
+covers x, that is, when x lies outside the complement's Gallai-Edmonds set D
+(Lovasz-Plummer, *Matching Theory*, ch. 3), and chi(G - x) = chi(G) - 1 for
+every x in D.  One more blossom search over the cached matching finds D.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .graphs import (
     independent_sets,
     is_connected_mask,
 )
-from .matching import maximum_matching
+from .matching import gallai_edmonds_d, maximum_matching
 
 
 @lru_cache(maxsize=1 << 14)
@@ -38,11 +42,25 @@ def alpha_at_most_two(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=1 << 15)
-def chromatic_number_alpha2(g: Graph) -> int:
-    """Chromatic number, valid only when the independence number is <= 2."""
+def complement_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    """A maximum matching of the complement, computed once per graph; its
+    pairs are the two-vertex color classes of a minimum coloring.  Valid only
+    when the independence number is <= 2."""
     if not alpha_at_most_two(g):
         raise PreconditionError("graph has an independent set of size 3")
-    return g.n - len(maximum_matching(complement(g)))
+    return tuple(maximum_matching(complement(g)))
+
+
+def chromatic_number_alpha2(g: Graph) -> int:
+    """Chromatic number, valid only when the independence number is <= 2."""
+    return g.n - len(complement_matching(g))
+
+
+def critical_vertices(g: Graph) -> int:
+    """Mask of the vertices whose deletion lowers the chromatic number: the
+    Gallai-Edmonds set D of the complement, found from the cached matching.
+    Valid only when the independence number is <= 2."""
+    return gallai_edmonds_d(complement(g), complement_matching(g))
 
 
 def doubled_capacity_of_mask(g: Graph, cmask: int) -> int:
@@ -109,6 +127,8 @@ __all__ = [
     "chromatic_number_alpha2",
     "clique_number",
     "co_components",
+    "complement_matching",
+    "critical_vertices",
     "doubled_capacity_of_mask",
     "is_five_wheel",
     "max_clique",

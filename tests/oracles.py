@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against the definitions, with code
 paths disjoint from the package implementations (subset scans, permutation
-search, plain backtracking), so that agreement is meaningful evidence.
+search, plain backtracking), so that agreement is meaningful evidence.  The
+two deletion scans for chromatic criticality use the package's chromatic
+number, one deleted subgraph at a time, in place of the Gallai-Edmonds set.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from itertools import combinations, permutations
 
 from alpha2minor.errors import PreconditionError
 from alpha2minor.graphs import Graph, bits, delete_vertices, mask_of
+from alpha2minor.invariants import chromatic_number_alpha2
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -194,6 +197,33 @@ def capacity(g: Graph, clique_vertices) -> CapacityReport:
         mixed_part=frozenset(bits(d)),
         doubled_capacity=2 * d.bit_count() + a.bit_count() + b.bit_count(),
     )
+
+
+def chi_drop_scan(g: Graph) -> int:
+    """Mask of the vertices whose deletion lowers the chromatic number by one,
+    from one deleted subgraph per vertex (independence number <= 2)."""
+    chi = chromatic_number_alpha2(g)
+    return sum(
+        1 << x
+        for x in range(g.n)
+        if chromatic_number_alpha2(delete_vertices(g, (x,))[0]) == chi - 1
+    )
+
+
+def scan_critical_nonadjacent_pair(g: Graph, chi: int) -> tuple[int, int] | None:
+    """Lexicographically first non-adjacent pair whose one-by-one and joint
+    deletions all leave chromatic number chi - 1, by deleting each vertex and
+    each candidate pair in turn."""
+    def drops_to_target(vertices: tuple[int, ...]) -> bool:
+        h, _ = delete_vertices(g, vertices)
+        return chromatic_number_alpha2(h) == chi - 1
+    singles = [x for x in range(g.n) if drops_to_target((x,))]
+    ok = set(singles)
+    for x in singles:
+        for y in range(x + 1, g.n):
+            if y in ok and not g.has_edge(x, y) and drops_to_target((x, y)):
+                return (x, y)
+    return None
 
 
 def is_vertex_critical(g: Graph) -> bool:

@@ -157,6 +157,15 @@ class TestSweep:
         assert out == ""
         assert "bad range '5..3'" in err
 
+    def test_input_without_requested_orders_is_usage_error(self, capsys, tmp_path):
+        # A universe file with no graph of the requested orders checks nothing.
+        src = tmp_path / "c5.g6"
+        src.write_text(C5 + "\n" + C6 + "\n")
+        code, out, err = run(capsys, ["sweep", "6..8", "--input", str(src)])
+        assert code == 2
+        assert out == ""
+        assert "has no graph of order 6..8" in err
+
 
 class TestOracleCheck:
     def test_matching_target(self, capsys, monkeypatch, tmp_path):

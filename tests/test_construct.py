@@ -16,6 +16,7 @@ from alpha2minor import (
     select_edge_small_case,
     validate_model,
 )
+from alpha2minor import construct
 from alpha2minor.construct import _complete_minor_fallback, ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, mask_of
 from alpha2minor.minors import MinorModel
@@ -163,6 +164,13 @@ class TestChiForm:
                     cert = construct_chi_minor(g, ell)
                     assert cert.validated
                     assert validate_model(g, cert.target, cert.model) == []
+
+    def test_wrong_gallai_edmonds_set_raises(self, c5, monkeypatch):
+        # join(C5, C5) is vertex-critical: every vertex is in D.  A D that
+        # leaves vertex 0 out must not be trusted.
+        monkeypatch.setattr(construct, "critical_vertices", lambda g: g.vertex_mask() & ~1)
+        with pytest.raises(InvariantViolation, match="Gallai-Edmonds"):
+            construct_chi_minor(join(c5, c5), 2)
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):

@@ -13,7 +13,8 @@ from alpha2minor import (
     maximum_matching,
     named,
 )
-from alpha2minor.invariants import doubled_capacity_of_mask
+from alpha2minor.construct import _critical_nonadjacent_pair
+from alpha2minor.invariants import critical_vertices, doubled_capacity_of_mask
 from conftest import random_graph
 from oracles import (
     brute_alpha_at_most_two,
@@ -21,7 +22,9 @@ from oracles import (
     brute_clique_number,
     brute_independence_number,
     capacity,
+    chi_drop_scan,
     is_vertex_critical,
+    scan_critical_nonadjacent_pair,
 )
 
 
@@ -186,6 +189,22 @@ class TestVertexCritical:
 
     def test_non_critical(self):
         assert not is_vertex_critical(named("path", 4))
+
+
+class TestCriticalVertices:
+    """chi(G - x) = chi(G) - 1 exactly for x in the Gallai-Edmonds set D of
+    the complement."""
+
+    def test_matches_deletion_scan_on_universe(self, universe):
+        for n in range(1, 10):
+            for g in universe(n):
+                assert critical_vertices(g) == chi_drop_scan(g)
+
+    def test_nonadjacent_pair_matches_deletion_scan(self, universe):
+        for n in range(1, 10):
+            for g in universe(n):
+                chi = chromatic_number_alpha2(g)
+                assert _critical_nonadjacent_pair(g, chi) == scan_critical_nonadjacent_pair(g, chi)
 
 
 class TestCoComponents:

@@ -1,8 +1,10 @@
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from alpha2minor import named
-from alpha2minor.matching import maximum_matching
+from alpha2minor import PreconditionError, named
+from alpha2minor.graphs import delete_vertices
+from alpha2minor.matching import gallai_edmonds_d, maximum_matching
 from conftest import random_graph
 from oracles import brute_matching_number
 
@@ -43,3 +45,22 @@ def test_matches_networkx(g):
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
     assert len(maximum_matching(g)) == len(nx.max_weight_matching(ref, maxcardinality=True))
+
+
+@settings(max_examples=250, derandomize=True)
+@given(graphs_strategy)
+def test_gallai_edmonds_d_matches_brute_force(g):
+    # v is in D iff some maximum matching misses v, iff deleting v keeps the
+    # matching number.
+    nu = brute_matching_number(g)
+    d = gallai_edmonds_d(g, maximum_matching(g))
+    for v in range(g.n):
+        h, _ = delete_vertices(g, (v,))
+        assert (d >> v & 1 == 1) == (brute_matching_number(h) == nu)
+
+
+def test_gallai_edmonds_d_rejects_a_matching_that_is_not_maximum():
+    # The path 0-1-2-3 matched only in its middle has the augmenting path
+    # 0-1-2-3: the trees grown from 0 and from 3 meet.
+    with pytest.raises(PreconditionError):
+        gallai_edmonds_d(named("path", 4), [(1, 2)])
