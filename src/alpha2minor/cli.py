@@ -73,13 +73,13 @@ def _cert_filename(line: str, ell: int, form: str) -> str:
     return f"{digest}_ell{ell}_{form}.json"
 
 
-def _write_certs(emit_dir: str, certs: list[tuple[str, int, str, dict]]) -> None:
+def _write_certs(emit_dir: str, certs: list[tuple[str, str]]) -> None:
+    """Write each (file name, JSON text) pair under ``emit_dir``."""
     out = Path(emit_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for line, ell, form, payload in certs:
-            target = out / _cert_filename(line, ell, form)
-            target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        for name, text in certs:
+            (out / name).write_text(text)
     except OSError as exc:
         raise UsageError(exc) from None
 
@@ -94,7 +94,7 @@ class Checks:
 
     forms: tuple[str, ...]  # constructor forms, "half" and/or "chi", in row order
     ells: tuple[int, ...] | None = None  # None: every admissible ell
-    certs: bool = False  # keep the certificate JSON of each ok row
+    certs: bool = False  # keep the certificate JSON text of each ok row
     screen: bool = True  # skip graphs whose independence number exceeds 2
     packing: bool = False  # the sweep's packing rows
     oracle: MinorTarget | None = None  # compare with the brute-force oracle instead
@@ -154,7 +154,9 @@ def _construct_rows(
                 continue
             rows.append(Row(ell, form, "ok"))
             if want_certs:
-                certs.append((line, ell, form, certificate_to_json(cert)))
+                # Serialized here, once: the text is smaller than the dict.
+                text = json.dumps(certificate_to_json(cert), sort_keys=True, indent=2)
+                certs.append((_cert_filename(line, ell, form), text + "\n"))
     return rows, certs
 
 

@@ -14,7 +14,6 @@ absorbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvariantViolation, PreconditionError
 from .graphs import (
@@ -31,19 +30,19 @@ from .invariants import (
     clique_number,
     co_components,
     critical_vertices,
+    max_clique,
 )
 from .minors import (
     CliqueJoinIndependent,
-    CompleteGraph,
     MinorModel,
     MinorTarget,
-    find_minor_bruteforce,
     model_to_json,
     normalized_model,
     validate_model,
 )
 from .packing import (
     P3Packing,
+    check_packing_conditions,
     exchange_improve,
     find_p3_packing,
     uncovered_outside_neighborhood,
@@ -212,11 +211,15 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
         return _relabel_model(_half_model(h, ell, trace), _invert(old_to_new))
     k = ceil_half(n)
     if not is_k_connected(g, k):
-        _step(trace, "FallbackConnectivity", g, required_connectivity=k)
-        return _split_complete_model(_complete_minor_fallback(g, k), ell)
+        kmodel = _complete_minor_fallback(
+            g, k, trace, "FallbackConnectivity", required_connectivity=k
+        )
+        return _split_complete_model(kmodel, ell)
     if 4 * clique_number(g) >= n + 3:
-        _step(trace, "FallbackClique", g, clique_number=clique_number(g))
-        return _split_complete_model(_complete_minor_fallback(g, k), ell)
+        kmodel = _complete_minor_fallback(
+            g, k, trace, "FallbackClique", clique_number=clique_number(g)
+        )
+        return _split_complete_model(kmodel, ell)
     if n >= 4 * ell + 1:
         packing = find_p3_packing(g, ell)
         if packing is None:
@@ -244,21 +247,36 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     return _small_case_model(g, ell, trace)
 
 
-@lru_cache(maxsize=64)
-def _complete_minor_fallback(g: Graph, k: int) -> MinorModel:
-    """A complete-minor model whose existence is known from connectivity or
-    clique-number results proved elsewhere; found here by brute force.
+def _complete_minor_fallback(
+    g: Graph, k: int, trace: list[TraceStep], kind: str, **data
+) -> MinorModel:
+    """A K_k model from a clique W of G, truncated to k vertices, plus
+    k - |W| disjoint induced 3-vertex paths ("seagulls") in G - W.
 
-    k is ceil(n/2) whatever ell is, so the model is memoized and every ell of
-    one graph splits the same search result; a search that raises is not
-    cached."""
-    kmodel = find_minor_bruteforce(g, CompleteGraph(k))
-    if kmodel is None:
+    A seagull's ends are non-adjacent, so with independence number two every
+    other vertex sees one of them: each seagull dominates G, and the
+    singletons of W and the seagulls are pairwise joined connected sets
+    (Chudnovsky and Seymour, "Packing seagulls").  The step records W and the
+    seagulls under ``kind`` together with ``data``."""
+    clique = sorted(max_clique(g)[1])[:k]
+    h, old_to_new = delete_vertices(g, clique)
+    packing = find_p3_packing(h, k - len(clique))
+    if packing is None:
         raise InvariantViolation(
-            "guaranteed complete minor not found",
-            {"graph6": emit_graph6(g), "k": k},
+            "seagull packing beside the clique not found",
+            {
+                "graph6": emit_graph6(g),
+                "k": k,
+                "clique": clique,
+                "conditions": check_packing_conditions(h, k - len(clique)),
+            },
         )
-    return kmodel
+    new_to_old = _invert(old_to_new)
+    triples = [[new_to_old[v] for v in t] for t in packing.triples]
+    _step(trace, kind, g, **data, clique=clique, triples=triples)
+    return MinorModel(
+        tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
+    )
 
 
 def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:

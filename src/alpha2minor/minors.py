@@ -3,9 +3,9 @@
 A model assigns disjoint connected branch sets to the target's vertices.  The
 targets here are the complete graph on k vertices and the join of a clique of
 size ell with an independent set of size m (the complete bipartite graph with
-the small side made complete).  The brute-force searcher is an independent
-oracle for the constructions and the fallback where existence is known from
-black-box results whose explicit constructions are out of scope.
+the small side made complete).  The brute-force searcher is an independent,
+construction-free oracle for ``oracle-check`` and the tests; no constructor
+calls it.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ compared with 2 * ell.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError
@@ -59,17 +60,17 @@ def validate_packing(g: Graph, packing: P3Packing) -> list[str]:
     return problems
 
 
-def _induced_p3_triples(g: Graph) -> list[tuple[int, int, int]]:
-    """All induced 3-vertex paths, one orientation each (a1 < a3), sorted."""
-    out = []
-    for a2 in range(g.n):
-        nbrs = list(bits(g.adj[a2]))
-        for i, a1 in enumerate(nbrs):
-            for a3 in nbrs[i + 1 :]:
-                if not g.has_edge(a1, a3):
-                    out.append((a1, a2, a3))
-    out.sort()
-    return out
+def _seagulls_at(g: Graph, v: int, remaining: int) -> Iterator[tuple[int, int, int]]:
+    """The induced 3-vertex paths (a1, a2, a3), a1 < a3, inside ``remaining``
+    that contain its lowest vertex v, in lexicographic order: first those
+    starting at v, then those centred at v.  None can end at v."""
+    nbrs = g.adj[v] & remaining
+    for a2 in bits(nbrs):
+        for a3 in bits(g.adj[a2] & remaining & ~nbrs & ~(1 << v)):
+            yield (v, a2, a3)
+    for a1 in bits(nbrs):
+        for a3 in bits(nbrs & ~g.adj[a1] & ~((2 << a1) - 1)):
+            yield (a1, v, a3)
 
 
 def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
@@ -77,9 +78,9 @@ def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
     ``None`` when none exists.  Exhaustive: no false negatives.
 
     Depth-first search branching on the lowest-index undecided vertex, which
-    is either covered by one of its induced paths (tried in lexicographic
-    order) or discarded; failed (undecided-set, remaining-count) states are
-    memoized.
+    is either covered by one of its induced paths inside the undecided set
+    (generated lazily, in lexicographic order) or discarded; failed
+    (undecided-set, remaining-count) states are memoized.
     """
     if count < 0:
         raise PreconditionError("packing size must be nonnegative")
@@ -87,11 +88,6 @@ def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
         return P3Packing(())
     if 3 * count > g.n:
         return None
-    triples = _induced_p3_triples(g)
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g.n)}
-    for t in triples:
-        for v in t:
-            by_vertex[v].append(t)
     failed: set[tuple[int, int]] = set()
 
     def search(remaining: int, need: int) -> list[tuple[int, int, int]] | None:
@@ -104,11 +100,8 @@ def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
             return None
         v = (remaining & -remaining).bit_length() - 1
         vbit = 1 << v
-        for t in by_vertex[v]:
-            tmask = mask_of(t)
-            if tmask & ~remaining:
-                continue
-            rest = search(remaining & ~tmask, need - 1)
+        for t in _seagulls_at(g, v, remaining):
+            rest = search(remaining & ~mask_of(t), need - 1)
             if rest is not None:
                 return [t] + rest
         rest = search(remaining & ~vbit, need)

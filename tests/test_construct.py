@@ -16,11 +16,41 @@ from alpha2minor import (
     select_edge_small_case,
     validate_model,
 )
-from alpha2minor import construct
-from alpha2minor.construct import _complete_minor_fallback, ceil_half
+from alpha2minor import clique_number, construct, emit_graph6, validate_packing
+from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
+from alpha2minor.packing import P3Packing
+
+
+def _both_forms_every_ell(universe, max_n: int):
+    """Certificates of both forms, every admissible ell, for n <= max_n."""
+    for n in range(1, max_n + 1):
+        for g in universe(n):
+            for form, bound in (
+                (construct_half_minor, ceil_half(n)),
+                (construct_chi_minor, chromatic_number_alpha2(g)),
+            ):
+                for ell in range(1, bound // 2 + 1):
+                    yield form(g, ell)
+
+
+def _check_clique_plus_seagulls(data: dict) -> None:
+    """A fallback step's K_k: singletons of a clique W, as large as the step
+    graph allows up to k, plus induced 3-vertex paths in G - W that each
+    dominate G."""
+    h = parse_graph6(data["graph6"])
+    k = ceil_half(h.n)
+    clique, triples = data["clique"], data["triples"]
+    assert len(clique) == min(k, clique_number(h))
+    assert all(h.has_edge(u, v) for u in clique for v in clique if u < v)
+    assert len(clique) + len(triples) == k
+    packing = P3Packing(tuple(tuple(t) for t in triples))
+    assert validate_packing(h, packing) == []
+    assert not packing.vertex_mask() & mask_of(clique)
+    for t in triples:
+        assert closed_neighborhood_mask(h, mask_of(t)) == h.vertex_mask()
 
 
 class TestSelectEdge:
@@ -100,23 +130,52 @@ class TestHalfForm:
                     assert cert.validated
                     assert validate_model(g, cert.target, cert.model) == []
 
-    def test_fallback_memo_keeps_certificates(self):
+    def test_fallback_is_clique_plus_seagulls(self, universe):
+        # Every fallback step, in both forms, builds K_k from the singletons
+        # of a clique W and induced 3-vertex paths in G - W, each of which
+        # dominates the graph the step was taken in.
+        steps = 0
+        for cert in _both_forms_every_ell(universe, 9):
+            for step in cert.trace:
+                if step.kind.startswith("Fallback"):
+                    _check_clique_plus_seagulls(step.data)
+                    steps += 1
+        assert steps > 1000
+
+    def test_no_path_reaches_the_brute_force_search(self, universe, monkeypatch):
+        import sys
+
+        from alpha2minor import minors
+
+        assert not hasattr(construct, "find_minor_bruteforce")
+        original = minors.find_minor_bruteforce
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a constructor called the brute-force search")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("alpha2minor")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+        fallbacks = sum(
+            any(s.kind.startswith("Fallback") for s in cert.trace)
+            for cert in _both_forms_every_ell(universe, 8)
+        )
+        assert fallbacks > 100
+
+    def test_missing_seagull_packing_raises(self, monkeypatch):
         g = next(
             h
             for h in (random_alpha2(11, seed) for seed in range(50))
             if construct_half_minor(h, 1).trace[0].kind == "FallbackConnectivity"
         )
-        ells = range(1, ceil_half(g.n) // 2 + 1)
-        assert len(ells) == 3
-        _complete_minor_fallback.cache_clear()
-        warm = [certificate_to_json(construct_half_minor(g, ell)) for ell in ells]
-        assert _complete_minor_fallback.cache_info().hits == len(ells) - 1
-        cold = []
-        for ell in ells:
-            _complete_minor_fallback.cache_clear()
-            cold.append(certificate_to_json(construct_half_minor(g, ell)))
-        assert warm == cold
-        assert _complete_minor_fallback.cache_info().maxsize is not None
+        monkeypatch.setattr(construct, "find_p3_packing", lambda h, count: None)
+        with pytest.raises(InvariantViolation, match="seagull") as exc:
+            construct_half_minor(g, 1)
+        state = exc.value.state
+        assert state["graph6"] == emit_graph6(g) and state["k"] == 6
+        assert len(state["clique"]) == clique_number(g)
+        assert state["conditions"].ell == 6 - len(state["clique"])
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):
@@ -164,6 +223,22 @@ class TestChiForm:
                     cert = construct_chi_minor(g, ell)
                     assert cert.validated
                     assert validate_model(g, cert.target, cert.model) == []
+
+    def test_joins_with_an_even_order_factor(self):
+        # chi = ceil(n/2) on many of these joins, so the chi form delegates to
+        # the half form and its complete-minor fallback at up to 22 vertices.
+        rows = fallbacks = 0
+        for a in range(5, 12):
+            for b in range(a, 12):
+                g = named("join", random_alpha2(a, 0), random_alpha2(b, 0))
+                chi = chromatic_number_alpha2(g)
+                for ell in range(1, chi // 2 + 1):
+                    cert = construct_chi_minor(g, ell)
+                    assert cert.validated
+                    assert validate_model(g, cert.target, cert.model) == []
+                    fallbacks += any(s.kind.startswith("Fallback") for s in cert.trace)
+                    rows += 1
+        assert rows == 119 and fallbacks > 0
 
     def test_wrong_gallai_edmonds_set_raises(self, c5, monkeypatch):
         # join(C5, C5) is vertex-critical: every vertex is in D.  A D that
