@@ -291,6 +291,7 @@ GOLDEN = {
     "verify_chi_random_joins": "158f4c7a61168f46e37dcdbcc9a130e2998201a3d7f10930e3fc780c6dc5eaf8",
     "enumerate_8": "e51cef1b696a6aff1619ac94877380c4dca5331fab7f64132b57dbad37aae26b",
     "enumerate_9": "c32fcc1e73f19129ea4b2bd30b591066f599bb5f7c3edee333f33b26d3587813",
+    "enumerate_10": "cb518e77cd6aa41a843c232e0a4b711434bfb8fc4e7ba878e77cabacc5b103f8",
 }
 
 
@@ -335,8 +336,9 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     assert kinds["DeleteNoncriticalVertex"] >= 100 and kinds["ParityGlue"] >= 1
     digests["verify_chi_random_joins"] = _digest(out, emit)
 
-    # The enumeration order itself, which every sweep report follows.
-    for n in (8, 9):
+    # The enumeration order itself, which every sweep report follows; the
+    # n = 10 level is shared with test_criterion_6_edge_recipe's universe.
+    for n in (8, 9, 10):
         lines = "".join(emit_graph6(g) + "\n" for g in enumerate_alpha2(n))
         digests[f"enumerate_{n}"] = hashlib.sha256(lines.encode()).hexdigest()
     assert digests == GOLDEN
