@@ -220,9 +220,11 @@ def _oracle_row(checks: Checks, g: Graph, line: str) -> Row:
 
 
 def _check_lines(checks: Checks, items: list[tuple[int, str]], jobs: int) -> list[dict]:
-    """``_check_line`` over ``items``, in input order."""
+    """``_check_line`` over ``items``, in input order, on at most one worker
+    process per item."""
     worker = partial(_check_line, checks)
-    if jobs <= 1 or len(items) <= 1:
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
         return [worker(item) for item in items]
     chunk = max(1, len(items) // (4 * jobs))
     with Pool(processes=jobs) as pool:
@@ -444,15 +446,20 @@ def _ell_arg(text: str) -> tuple[int, ...] | None:
     return (ell,)
 
 
-def _count_arg(text: str) -> int:
-    """``--random``: how many graphs to emit, an integer >= 0."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return count
+def _int_at_least(low: int):
+    """An argparse type for an integer >= ``low``: ``--random`` (how many
+    graphs to emit, from 0) and ``--jobs`` (worker processes, from 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", nargs="?", default=None, help="graph6 file (default stdin)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run the constructor over a graph6 stream")
@@ -499,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a test universe as graph6 lines")
     p_gen.add_argument("n", type=int)
-    p_gen.add_argument("--random", type=_count_arg, default=None, help="emit this many random graphs")
+    p_gen.add_argument("--random", type=_int_at_least(0), default=None, help="emit this many random graphs")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP_DEFAULT)
     p_gen.set_defaults(func=cmd_gen)

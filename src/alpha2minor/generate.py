@@ -3,9 +3,19 @@
 Such graphs are exactly the complements of triangle-free graphs, so the
 exhaustive stream is produced by growing triangle-free graphs one vertex at a
 time (the new vertex's neighborhood must be an independent set) and keeping
-one representative per isomorphism class, then complementing.  The random
-stream complements random maximal triangle-free graphs, which guarantees the
-independence bound by construction instead of rejection sampling.
+one representative per isomorphism class, then complementing.  Classes are
+told apart by canonical certificate (``iso.canonical_form``), so confirming a
+duplicate is a dict lookup, and each class keeps its first member generated.
+
+Each parent is extended only by the first independent set, in sorted order,
+of each orbit of the automorphisms its canonical labelling found.  That skips
+no class's first member: if S' follows S in one orbit, an automorphism of the
+parent P maps S onto S', so P + S' is isomorphic to P + S, which was generated
+earlier.  Automorphisms of a subgroup only merge fewer sets, never wrong ones.
+
+The random stream complements random maximal triangle-free graphs, which
+guarantees the independence bound by construction instead of rejection
+sampling.
 """
 
 from __future__ import annotations
@@ -14,11 +24,10 @@ import random
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .graphs import Graph, bits, complement, independent_sets
-from .iso import are_isomorphic, invariant_key, refined_colors
+from .graphs import Graph, _graph_unchecked, bits, complement, independent_sets
+from .iso import canonical_form
 
 EXHAUSTIVE_CAP_DEFAULT = 10
-
 
 def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
     """Add vertex n adjacent to ``nbr_mask``."""
@@ -28,28 +37,52 @@ def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
     for v in bits(nbr_mask):
         rows[v] |= 1 << n
     rows.append(new_row)
-    return Graph(n + 1, tuple(rows))
+    return _graph_unchecked(n + 1, tuple(rows))
+
+
+def _orbit_representatives(masks: list[int], gens) -> list[int]:
+    """The first mask of each orbit of ``masks`` under the vertex
+    permutations ``gens``, which must map ``masks`` onto itself."""
+    if not gens:
+        return masks
+    seen: set[int] = set()
+    reps = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        orbit = [mask]
+        for x in orbit:
+            for perm in gens:
+                y, m = 0, x
+                while m:
+                    low = m & -m
+                    m ^= low
+                    y |= 1 << perm[low.bit_length() - 1]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+    return reps
 
 
 @lru_cache(maxsize=32)
 def _triangle_free_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of triangle-free graphs on n
     vertices: each class keeps its first member generated by extending the
-    representatives on n - 1 vertices, in order, by every independent set."""
+    representatives on n - 1 vertices, in order, by their independent sets in
+    sorted order, one per orbit of the parent's automorphisms."""
     if n == 0:
         return (Graph(0, ()),)
-    # Representatives with their refined colors, bucketed by invariant key.
-    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
-    level = []
+    # Each parent's automorphisms are found again rather than kept with its
+    # level: one more labelling per parent, against several per class built.
+    classes: dict[tuple[int, ...], Graph] = {}
     for parent in _triangle_free_classes(n - 1):
-        for nbr_mask in independent_sets(parent):
+        sets = _orbit_representatives(independent_sets(parent), canonical_form(parent)[1])
+        for nbr_mask in sets:
             g = _extend_with_vertex(parent, nbr_mask)
-            colors = refined_colors(g)
-            bucket = buckets.setdefault(invariant_key(g, colors), [])
-            if not any(are_isomorphic(g, colors, h, hc) for h, hc in bucket):
-                bucket.append((g, colors))
-                level.append(g)
-    return tuple(level)
+            classes.setdefault(canonical_form(g)[0], g)
+    return tuple(classes.values())
 
 
 def enumerate_alpha2(n: int, *, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> list[Graph]:

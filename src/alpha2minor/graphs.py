@@ -9,6 +9,7 @@ are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import Graph6Error, PreconditionError
@@ -95,6 +96,16 @@ class Graph:
         return all(self.adj[v] == full ^ (1 << v) for v in range(self.n))
 
 
+def _graph_unchecked(n: int, adj: tuple[int, ...]) -> Graph:
+    """A ``Graph`` without ``__post_init__``'s O(n^2) checks, for rows derived
+    from an already valid graph by an operation that keeps them simple and
+    symmetric; everything built from outside input goes through ``Graph``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 # -- set-valued neighborhoods ------------------------------------------
 
 
@@ -141,7 +152,7 @@ def is_connected(g: Graph) -> bool:
 
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask()
-    return Graph(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
+    return _graph_unchecked(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
 
 
 def independent_sets(g: Graph) -> list[int]:
@@ -176,7 +187,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             if j is not None:
                 row |= 1 << j
         rows.append(row)
-    return Graph(len(old), tuple(rows)), old_to_new
+    return _graph_unchecked(len(old), tuple(rows)), old_to_new
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -280,13 +291,16 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
+@lru_cache(maxsize=64)
 def is_k_connected(g: Graph, k: int) -> bool:
     """Decide kappa(G) >= k with the flow kernel of ``vertex_connectivity``,
     stopping each pair at k paths and the whole scan at the first pair with
     fewer.
 
     Equivalent to ``vertex_connectivity(g) >= k`` but cheaper when only the
-    comparison is needed, which is the hot case in the constructions.
+    comparison is needed, which is the hot case in the constructions.  The
+    half form asks the same k once per ell of one graph, so a few cache
+    entries suffice.
     """
     if k <= 0:
         return True

@@ -4,7 +4,7 @@ import pytest
 
 from alpha2minor import enumerate_alpha2, named
 from alpha2minor.graphs import Graph
-from alpha2minor.iso import are_isomorphic, refined_colors
+from oracles import are_isomorphic, refined_colors
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written against the definitions, with code
 paths disjoint from the package implementations (subset scans, permutation
-search, plain backtracking), so that agreement is meaningful evidence.  The
-two deletion scans for chromatic criticality use the package's chromatic
-number, one deleted subgraph at a time, in place of the Gallai-Edmonds set.
+search, plain backtracking), so that agreement is meaningful evidence; the
+pairwise isomorphism matcher (colour refinement, then backtracking) shares
+nothing with the package's canonical labelling.  The two deletion scans for
+chromatic criticality use the package's chromatic number, one deleted
+subgraph at a time, in place of the Gallai-Edmonds set.
 """
 
 from __future__ import annotations
@@ -336,3 +338,87 @@ def brute_triangle_free_class_count(n: int) -> int:
         for image in images:
             seen.add(sum(bit for i, bit in enumerate(image) if picks >> i & 1))
     return classes
+
+
+def refined_colors(g: Graph) -> tuple[int, ...]:
+    """Stable vertex colors under iterated neighborhood-color refinement."""
+    nbrs = [list(bits(row)) for row in g.adj]
+    colors = list(g.degrees())
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
+            for v in range(g.n)
+        ]
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [ranking[sig] for sig in sigs]
+        if new == colors:
+            return tuple(new)
+        colors = new
+
+
+def are_isomorphic(g: Graph, gc: tuple[int, ...], h: Graph, hc: tuple[int, ...]) -> bool:
+    """Whether ``g`` and ``h`` are isomorphic, given their refined colors."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+    if sorted(gc) != sorted(hc):
+        return False
+    n = g.n
+    # Match most-constrained vertices first: rare colors, then high degree.
+    color_count: dict[int, int] = {}
+    for c in gc:
+        color_count[c] = color_count.get(c, 0) + 1
+    order = sorted(range(n), key=lambda v: (color_count[gc[v]], -g.degree(v), v))
+    h_by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        h_by_color.setdefault(hc[v], []).append(v)
+
+    mapping = [-1] * n
+    used = [False] * n
+
+    def place(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in h_by_color.get(gc[v], ()):
+            if used[w]:
+                continue
+            ok = True
+            for j in range(i):
+                u = order[j]
+                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if place(i + 1):
+                    return True
+                mapping[v] = -1
+                used[w] = False
+        return False
+
+    return place(0)
+
+
+def brute_automorphism_orbits(g: Graph) -> list[frozenset[int]]:
+    """The vertex orbits of the full automorphism group, from every
+    automorphism found by backtracking over vertex images in label order."""
+    n = g.n
+    image = [-1] * n
+    reach = [{v} for v in range(n)]
+
+    def place(v: int) -> None:
+        if v == n:
+            for u, w in enumerate(image):
+                reach[u].add(w)
+            return
+        for w in range(n):
+            if w in image[:v] or g.degree(w) != g.degree(v):
+                continue
+            if all(g.has_edge(u, v) == g.has_edge(image[u], w) for u in range(v)):
+                image[v] = w
+                place(v + 1)
+                image[v] = -1
+
+    place(0)
+    return sorted({frozenset(r) for r in reach}, key=min)

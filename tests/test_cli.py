@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from alpha2minor import emit_graph6, enumerate_alpha2, named, random_alpha2
+from alpha2minor import cli, emit_graph6, enumerate_alpha2, named, random_alpha2
 from alpha2minor.cli import main, parse_target
 from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
 
@@ -249,6 +249,41 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    def test_bad_jobs_is_usage_error(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "Pool", no_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
+        started = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "Pool", InlinePool)
+        src = tmp_path / "in.g6"
+        src.write_text(f"{C5}\n{PC}\n")
+        code, out, _ = run(capsys, ["verify", str(src), "--jobs", "8"])
+        assert code == 0
+        assert started == [2]
+        assert "# processed=2 succeeded=2" in out
 
     def test_jobs_parallel_matches_serial(self, capsys, monkeypatch):
         code1, out1, _ = run(capsys, ["sweep", "5", "--jobs", "2"])

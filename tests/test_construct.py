@@ -16,7 +16,7 @@ from alpha2minor import (
     select_edge_small_case,
     validate_model,
 )
-from alpha2minor import clique_number, construct, emit_graph6, validate_packing
+from alpha2minor import clique_number, construct, emit_graph6, graphs, validate_packing
 from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, mask_of
 from alpha2minor.minors import MinorModel
@@ -176,6 +176,18 @@ class TestHalfForm:
         assert state["graph6"] == emit_graph6(g) and state["k"] == 6
         assert len(state["clique"]) == clique_number(g)
         assert state["conditions"].ell == 6 - len(state["clique"])
+
+    def test_connectivity_decided_once_per_graph(self, monkeypatch):
+        # k = ceil(n/2) = 21 does not depend on ell: the split digraph of G
+        # is built for the first ell only.
+        g = random_alpha2(41, 0)
+        built = []
+        split_rows = graphs._split_rows
+        monkeypatch.setattr(graphs, "_split_rows", lambda h: built.append(h) or split_rows(h))
+        graphs.is_k_connected.cache_clear()
+        for ell in range(1, ceil_half(g.n) // 2 + 1):
+            construct_half_minor(g, ell)
+        assert built.count(g) <= 1
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):

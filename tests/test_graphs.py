@@ -18,7 +18,9 @@ from alpha2minor import (
     random_alpha2,
     vertex_connectivity,
 )
+from alpha2minor.generate import _extend_with_vertex
 from alpha2minor.graphs import (
+    _graph_unchecked,
     closed_neighborhood_mask,
     delete_vertices,
     is_connected,
@@ -47,6 +49,36 @@ class TestGraphType:
     def test_rejects_out_of_range_neighbor(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, (0b100, 0b001))
+
+    def test_public_constructors_keep_checks(self):
+        # The unchecked constructor trusts its caller; the public ones do not.
+        for n, rows in ((2, (0b10, 0b00)), (1, (0b1,)), (2, (0b100, 0b001))):
+            assert _graph_unchecked(n, rows).adj == rows
+            with pytest.raises(ValueError):
+                Graph(n, rows)
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph.from_edges(2, [(1, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(2, [(0, 2)])
+
+    def test_derived_graphs_equal_checked_construction(self):
+        rng = random.Random(7)
+        for seed in range(60):
+            g = random_graph(rng.randrange(13), rng.random(), seed)
+            keep = [v for v in range(g.n) if rng.random() < 0.6]
+            mask = rng.randrange(1 << g.n)
+            n, edges = g.n, g.edges()
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            index = {v: i for i, v in enumerate(keep)}
+            kept = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+            added = [(v, n) for v in range(n) if mask >> v & 1]
+            derived = [
+                (complement(g), Graph.from_edges(n, non_edges)),
+                (induced_subgraph(g, keep)[0], Graph.from_edges(len(keep), kept)),
+                (_extend_with_vertex(g, mask), Graph.from_edges(n + 1, edges + added)),
+            ]
+            for h, expected in derived:
+                assert h == Graph(h.n, h.adj) == expected
 
     def test_from_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])

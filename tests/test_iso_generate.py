@@ -12,14 +12,26 @@ from alpha2minor import (
     named,
     random_alpha2,
 )
-from alpha2minor.generate import _extend_with_vertex, _triangle_free_classes
+from alpha2minor.generate import (
+    _extend_with_vertex,
+    _orbit_representatives,
+    _triangle_free_classes,
+)
 from alpha2minor.graphs import Graph, independent_sets
-from alpha2minor.iso import are_isomorphic, invariant_key, refined_colors
+from alpha2minor.iso import canonical_form
 from conftest import isomorphic, random_graph
-from oracles import brute_canonical_form, brute_triangle_free_class_count
+from oracles import (
+    are_isomorphic,
+    brute_automorphism_orbits,
+    brute_canonical_form,
+    brute_triangle_free_class_count,
+    refined_colors,
+)
 
 # One isomorphism class per triangle-free graph; complements are the universe.
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
+# All graphs on n vertices up to isomorphism (OEIS A000088).
+GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
 
 class TestIsomorphism:
@@ -38,7 +50,7 @@ class TestIsomorphism:
             rng.shuffle(perm)
             h = Graph.from_edges(9, [(perm[u], perm[v]) for u, v in g.edges()])
             assert isomorphic(g, h)
-            assert invariant_key(g, refined_colors(g)) == invariant_key(h, refined_colors(h))
+            assert canonical_form(g)[0] == canonical_form(h)[0]
 
     def test_regular_nonisomorphic_pair(self):
         # Both 2-regular on 9 vertices: one 9-cycle versus a 4+5 cycle pair.
@@ -48,6 +60,89 @@ class TestIsomorphism:
             [(0, 1), (1, 2), (2, 3), (3, 0)] + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)],
         )
         assert not isomorphic(c9, c45)
+        assert canonical_form(c9)[0] != canonical_form(c45)[0]
+
+
+def _relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _orbits(gens, n: int) -> list[frozenset[int]]:
+    reach = [{v} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for perm in gens:
+            for v in range(n):
+                images = {perm[u] for u in reach[v]} - reach[v]
+                if images:
+                    reach[v] |= images
+                    changed = True
+    return sorted({frozenset(r) for r in reach}, key=min)
+
+
+class TestCanonicalForm:
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(15)
+        for seed in range(50):
+            g = random_graph(9, rng.choice((0.2, 0.4, 0.6)), seed)
+            perm = list(range(9))
+            rng.shuffle(perm)
+            assert canonical_form(_relabel(g, perm))[0] == canonical_form(g)[0]
+
+    def test_equal_exactly_when_isomorphic_up_to_six(self):
+        # Every graph on n vertices is a class representative on n - 1
+        # vertices plus one vertex, so growing the representatives by every
+        # vertex subset meets every class, most of them many times.
+        reps = [Graph(0, ())]
+        for n in range(1, 7):
+            classes: dict[tuple, list[Graph]] = {}
+            for parent in reps:
+                for mask in range(1 << (n - 1)):
+                    g = _extend_with_vertex(parent, mask)
+                    classes.setdefault(canonical_form(g)[0], []).append(g)
+            for first, *rest in classes.values():
+                assert all(isomorphic(first, h) for h in rest)
+            reps = [members[0] for members in classes.values()]
+            assert len({brute_canonical_form(g) for g in reps}) == len(reps)
+            assert len(reps) == GRAPH_CLASS_COUNTS[n]
+
+    def test_equal_exactly_when_isomorphic_random_seven(self):
+        graphs = []
+        for p in (2, 5, 8):
+            for seed in range(4):
+                g = random_graph(7, p / 10, seed)
+                perm = list(range(7))
+                random.Random(seed).shuffle(perm)
+                graphs += [g, _relabel(g, perm)]
+        for g in graphs:
+            for h in graphs:
+                same = canonical_form(g)[0] == canonical_form(h)[0]
+                assert same == (brute_canonical_form(g) == brute_canonical_form(h))
+
+    def test_generators_are_automorphisms(self, universe):
+        graphs = [g for n in range(10) for g in universe(n)]
+        graphs += [random_graph(10, p / 10, seed) for p in (1, 3, 5) for seed in range(10)]
+        for g in graphs:
+            for perm in canonical_form(g)[1]:
+                assert sorted(perm) == list(range(g.n))
+                assert _relabel(g, perm) == g
+
+    def test_generators_give_every_orbit(self, universe):
+        # The enumerator labels the complements, which share the group.
+        for n in range(8):
+            for g in universe(n):
+                orbits = brute_automorphism_orbits(g)
+                assert _orbits(canonical_form(g)[1], n) == orbits
+                assert _orbits(canonical_form(complement(g))[1], n) == orbits
+
+    def test_orbit_representatives_are_first_of_each_orbit(self):
+        parent = named("cycle", 6)
+        sets = independent_sets(parent)
+        reps = _orbit_representatives(sets, canonical_form(parent)[1])
+        # Under the dihedral group of the hexagon: the empty set, one vertex,
+        # two at distance two, two opposite, and the two alternating triples.
+        assert reps == [0b0, 0b1, 0b101, 0b1001, 0b10101]
 
 
 class TestEnumerate:
@@ -61,7 +156,8 @@ class TestEnumerate:
 
     def test_reversed_generation_order_same_classes(self):
         # Rebuild every level with its parents and their extensions in reverse
-        # order, deduplicated pairwise: other representatives, same classes.
+        # order, deduplicated by the pairwise oracle matcher: other
+        # representatives, same classes.
         backward = [Graph(0, ())]
         for n in range(1, 8):
             reps = []
