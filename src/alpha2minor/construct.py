@@ -14,6 +14,8 @@ absorbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError
 from .graphs import (
@@ -101,7 +103,7 @@ def _invert(old_to_new: dict[int, int]) -> list[int]:
     return new_to_old
 
 
-def _relabel_model(model: MinorModel, new_to_old: list[int]) -> MinorModel:
+def _relabel_model(model: MinorModel, new_to_old: Sequence[int]) -> MinorModel:
     lift = lambda s: frozenset(new_to_old[v] for v in s)
     return MinorModel(
         tuple(lift(s) for s in model.clique_side),
@@ -212,12 +214,12 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     k = ceil_half(n)
     if not is_k_connected(g, k):
         kmodel = _complete_minor_fallback(
-            g, k, trace, "FallbackConnectivity", required_connectivity=k
+            g, trace, "FallbackConnectivity", required_connectivity=k
         )
         return _split_complete_model(kmodel, ell)
     if 4 * clique_number(g) >= n + 3:
         kmodel = _complete_minor_fallback(
-            g, k, trace, "FallbackClique", clique_number=clique_number(g)
+            g, trace, "FallbackClique", clique_number=clique_number(g)
         )
         return _split_complete_model(kmodel, ell)
     if n >= 4 * ell + 1:
@@ -248,16 +250,33 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
 
 
 def _complete_minor_fallback(
-    g: Graph, k: int, trace: list[TraceStep], kind: str, **data
+    g: Graph, trace: list[TraceStep], kind: str, **data
 ) -> MinorModel:
-    """A K_k model from a clique W of G, truncated to k vertices, plus
-    k - |W| disjoint induced 3-vertex paths ("seagulls") in G - W.
+    """The K_k model of ``_clique_plus_seagulls``, recorded under ``kind``
+    together with ``data``."""
+    clique, triples = _clique_plus_seagulls(g)
+    _step(
+        trace, kind, g, **data, clique=list(clique), triples=[list(t) for t in triples]
+    )
+    return MinorModel(
+        tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
+    )
+
+
+@lru_cache(maxsize=64)
+def _clique_plus_seagulls(
+    g: Graph,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """A K_k model, k = ceil(n/2), from a clique W of G, truncated to k
+    vertices, plus k - |W| disjoint induced 3-vertex paths ("seagulls") in
+    G - W: W and the seagulls, in vertices of G.
 
     A seagull's ends are non-adjacent, so with independence number two every
     other vertex sees one of them: each seagull dominates G, and the
     singletons of W and the seagulls are pairwise joined connected sets
-    (Chudnovsky and Seymour, "Packing seagulls").  The step records W and the
-    seagulls under ``kind`` together with ``data``."""
+    (Chudnovsky and Seymour, "Packing seagulls").  Nothing here depends on
+    ell, so it is built once per graph."""
+    k = ceil_half(g.n)
     clique = sorted(max_clique(g)[1])[:k]
     h, old_to_new = delete_vertices(g, clique)
     packing = find_p3_packing(h, k - len(clique))
@@ -272,10 +291,8 @@ def _complete_minor_fallback(
             },
         )
     new_to_old = _invert(old_to_new)
-    triples = [[new_to_old[v] for v in t] for t in packing.triples]
-    _step(trace, kind, g, **data, clique=clique, triples=triples)
-    return MinorModel(
-        tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
+    return tuple(clique), tuple(
+        tuple(new_to_old[v] for v in t) for t in packing.triples
     )
 
 
@@ -368,31 +385,71 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
             )
         _step(trace, "DelegateHalf", g)
         return _half_model(g, ell, trace)
-    noncritical = g.vertex_mask() & ~critical_vertices(g)
-    if noncritical:
+    core, lift, deletions = _noncritical_chain(g)
+    for graph6, size, x in deletions:
+        trace.append(
+            TraceStep(
+                "DeleteNoncriticalVertex", {"graph6": graph6, "n": size, "vertex": x}
+            )
+        )
+    if core.is_complete():
+        _step(trace, "CliqueDirect", core)
+        model = _singleton_model(range(ell), range(ell, chi))
+    else:
+        model = _critical_join_model(core, ell, chi, trace)
+    return _relabel_model(model, lift) if deletions else model
+
+
+@lru_cache(maxsize=64)
+def _noncritical_chain(
+    g: Graph,
+) -> tuple[Graph, tuple[int, ...], tuple[tuple[str, int, int], ...]]:
+    """Delete the lowest vertex outside the complement's Gallai-Edmonds set D
+    until every vertex is in D.  Returns the vertex-critical core, the lift
+    from the core's vertices to those of ``g``, and each deletion as the
+    (graph6, n, vertex) of the graph it was made in.
+
+    Only the core's branch depends on ell: along the chain n falls while chi
+    stays, so no earlier test of ``_chi_model`` fires there, and a complete
+    graph, whose vertices are all in D, can only be the core."""
+    chi = chromatic_number_alpha2(g)
+    lift = tuple(range(g.n))
+    deletions = []
+    while True:
+        noncritical = g.vertex_mask() & ~critical_vertices(g)
+        if not noncritical:
+            return g, lift, tuple(deletions)
         x = (noncritical & -noncritical).bit_length() - 1
-        h, old_to_new = delete_vertices(g, (x,))
+        h, _ = delete_vertices(g, (x,))
         if chromatic_number_alpha2(h) != chi:
             raise InvariantViolation(
                 "deleting a vertex outside the Gallai-Edmonds set lowered chi",
                 {"graph6": emit_graph6(g), "chi": chi, "vertex": x},
             )
-        _step(trace, "DeleteNoncriticalVertex", g, vertex=x)
-        return _relabel_model(_chi_model(h, ell, chi, trace), _invert(old_to_new))
-    # Every vertex is in D, so G is vertex-critical, and n <= 2*chi - 2: the
-    # complement must be disconnected.
+        deletions.append((emit_graph6(g), g.n, x))
+        lift = lift[:x] + lift[x + 1 :]
+        g = h
+
+
+@lru_cache(maxsize=64)
+def _join_split(
+    g: Graph,
+) -> tuple[tuple[Graph, tuple[int, ...], int], tuple[Graph, tuple[int, ...], int]]:
+    """A vertex-critical graph on at most 2*chi - 2 vertices as a join: its
+    first co-component against the rest.  Each side is its factor graph, the
+    sorted vertices of ``g`` it came from (also the factor's lift) and its
+    chromatic number."""
+    chi = chromatic_number_alpha2(g)
     comps = co_components(g)
     if len(comps) == 1:
         raise InvariantViolation(
             "critical graph on fewer than 2*chi - 1 vertices is anti-connected",
             {"graph6": emit_graph6(g), "chi": chi},
         )
-    side1 = sorted(comps[0])
-    side2 = sorted(set(range(n)) - comps[0])
-    g1, map1 = induced_subgraph(g, side1)
-    g2, map2 = induced_subgraph(g, side2)
-    lift1 = _invert(map1)
-    lift2 = _invert(map2)
+    side1 = tuple(sorted(comps[0]))
+    side2 = tuple(v for v in range(g.n) if v not in comps[0])
+    g1, _ = induced_subgraph(g, side1)
+    g2, _ = induced_subgraph(g, side2)
     chi1 = chromatic_number_alpha2(g1)
     chi2 = chromatic_number_alpha2(g2)
     if chi1 + chi2 != chi:
@@ -400,23 +457,36 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
             "join did not add chromatic numbers",
             {"graph6": emit_graph6(g), "chi": (chi, chi1, chi2)},
         )
+    return (g1, side1, chi1), (g2, side2, chi2)
+
+
+def _critical_join_model(
+    g: Graph, ell: int, chi: int, trace: list[TraceStep]
+) -> MinorModel:
+    """Every vertex is in D, so G is vertex-critical, and n <= 2*chi - 2: the
+    complement is disconnected and G splits as a join."""
+    part1, part2 = _join_split(g)
+    (g1, side1, chi1), (g2, side2, chi2) = part1, part2
     for l1 in range(1, ell):
         l2 = ell - l1
         if 2 * l1 <= chi1 and 2 * l2 <= chi2:
-            _step(trace, "JoinDecompose", g, side1=side1, side2=side2, split=[l1, l2])
-            m1 = _relabel_model(_chi_model(g1, l1, chi1, trace), lift1)
-            m2 = _relabel_model(_chi_model(g2, l2, chi2, trace), lift2)
+            _step(
+                trace,
+                "JoinDecompose",
+                g,
+                side1=list(side1),
+                side2=list(side2),
+                split=[l1, l2],
+            )
+            m1 = _relabel_model(_chi_model(g1, l1, chi1, trace), side1)
+            m2 = _relabel_model(_chi_model(g2, l2, chi2, trace), side2)
             return MinorModel(
                 m1.clique_side + m2.clique_side,
                 m1.independent_side + m2.independent_side,
             )
     if g1.is_complete() or g2.is_complete():
-        return _clique_absorb_model(
-            g, ell, chi, trace, (g1, side1, chi1), (g2, side2, chi2)
-        )
-    return _parity_glue_model(
-        g, ell, chi, trace, (g1, side1, lift1, chi1), (g2, side2, lift2, chi2)
-    )
+        return _clique_absorb_model(g, ell, chi, trace, part1, part2)
+    return _parity_glue_model(g, ell, chi, trace, part1, part2)
 
 
 def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
@@ -427,13 +497,13 @@ def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     else:
         (ck, cverts, _), (other, overts, chi_other) = part2, part1
     c = ck.n
-    _step(trace, "CliqueAbsorb", g, clique_part=cverts, absorbed=min(ell, c))
+    _step(trace, "CliqueAbsorb", g, clique_part=list(cverts), absorbed=min(ell, c))
     if ell <= c:
         clique_side = cverts[:ell]
         independent = cverts[ell:] + overts[:chi_other]
         return _singleton_model(clique_side, independent)
     sub = _chi_model(other, ell - c, chi_other, trace)
-    lifted = _relabel_model(sub, list(overts))
+    lifted = _relabel_model(sub, overts)
     return MinorModel(
         lifted.clique_side + tuple(frozenset((v,)) for v in cverts),
         lifted.independent_side,
@@ -445,8 +515,8 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     odd, chi = 2*ell, and deleting a suitable non-adjacent pair from each
     factor drops its chromatic number by exactly one.  The two pairs are glued
     across the join into two dominating branch sets, one per side."""
-    g1, side1, lift1, chi1 = part1
-    g2, side2, lift2, chi2 = part2
+    g1, lift1, chi1 = part1
+    g2, lift2, chi2 = part2
     if not (chi == 2 * ell and chi1 % 2 == 1 and chi2 % 2 == 1):
         raise InvariantViolation(
             "parity case reached without odd factor chromatic numbers",

@@ -174,20 +174,23 @@ def independent_sets(g: Graph) -> list[int]:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on ``vertices``, re-indexed 0..k-1 in increasing label
-    order.  Returns the new graph and the old-to-new index map."""
+    order.  Returns the new graph and the old-to-new index map.
+
+    Each kept row is masked to the kept vertices, then every dropped bit
+    position is squeezed out, highest first, so that the lower positions
+    still to be squeezed have not moved."""
     old = sorted(set(vertices))
     if old and not (0 <= old[0] and old[-1] < g.n):
         raise PreconditionError("vertex out of range")
-    old_to_new = {o: i for i, o in enumerate(old)}
+    keep = mask_of(old)
+    lows = [(1 << p) - 1 for p in reversed(list(bits(g.vertex_mask() & ~keep)))]
     rows = []
     for o in old:
-        row = 0
-        for nbr in bits(g.adj[o]):
-            j = old_to_new.get(nbr)
-            if j is not None:
-                row |= 1 << j
+        row = g.adj[o] & keep
+        for low in lows:
+            row = (row & low) | ((row >> 1) & ~low)
         rows.append(row)
-    return _graph_unchecked(len(old), tuple(rows)), old_to_new
+    return _graph_unchecked(len(old), tuple(rows)), {o: i for i, o in enumerate(old)}
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -15,7 +15,7 @@ from typing import Union
 
 from .cliques import max_clique
 from .errors import OracleCapExceeded
-from .graphs import Graph, bits, is_connected_mask, mask_of
+from .graphs import Graph, bits, is_connected_mask
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,10 @@ def _sets_joined(g: Graph, a: int, b: int) -> bool:
 
 
 def validate_model(g: Graph, target: MinorTarget, model: MinorModel) -> list[str]:
-    """Check every model invariant; returns all violations (empty = valid)."""
+    """Check every model invariant; returns all violations (empty = valid).
+
+    Each branch set contributes its mask and the OR of its vertices'
+    neighbourhoods, so each pair is tested with one AND."""
     ell, m = _sides_of(target)
     problems = []
     if len(model.clique_side) != ell:
@@ -81,30 +84,38 @@ def validate_model(g: Graph, target: MinorTarget, model: MinorModel) -> list[str
         )
     sets = model.all_sets()
     masks = []
+    reach = []
     for i, s in enumerate(sets):
         if not s:
             problems.append(f"branch set {i} is empty")
             masks.append(0)
+            reach.append(0)
             continue
         if any(not 0 <= v < g.n for v in s):
             problems.append(f"branch set {i} has a vertex out of range")
             masks.append(0)
+            reach.append(0)
             continue
-        mask = mask_of(s)
+        mask = 0
+        nbrs = 0
+        for v in s:
+            mask |= 1 << v
+            nbrs |= g.adj[v]
         masks.append(mask)
-        if not is_connected_mask(g, mask):
+        reach.append(nbrs)
+        if len(s) > 1 and not is_connected_mask(g, mask):
             problems.append(f"branch set {i} ({sorted(s)}) is not connected")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if masks[i] & masks[j]:
                 problems.append(f"branch sets {i} and {j} are not disjoint")
-    def _need_join(i: int, j: int) -> bool:
-        return i < len(model.clique_side) or j < len(model.clique_side)
-    for i in range(len(sets)):
+    # A pair needs an edge when one of its sets is on the clique side, that
+    # is, when the lower index is.
+    for i in range(len(model.clique_side)):
+        if not masks[i]:
+            continue
         for j in range(i + 1, len(sets)):
-            if not masks[i] or not masks[j] or masks[i] & masks[j]:
-                continue
-            if _need_join(i, j) and not _sets_joined(g, masks[i], masks[j]):
+            if masks[j] and not masks[i] & masks[j] and not reach[i] & masks[j]:
                 problems.append(f"no edge between branch sets {i} and {j}")
     return problems
 

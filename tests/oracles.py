@@ -131,9 +131,10 @@ def brute_clique_number(g: Graph) -> int:
     return best
 
 
-def brute_min_doubled_capacity(g: Graph) -> int:
+def brute_min_doubled_capacity(g: Graph) -> tuple[int, frozenset[int]]:
     """Minimum of 2|mixed| + |complete| + |anticomplete| over all nonempty
-    cliques, straight from the definitions."""
+    cliques, straight from the definitions, with a witness: among the
+    minimizers, fewest vertices, then smallest mask."""
     best = None
     for mask in range(1, 1 << g.n):
         members = list(bits(mask))
@@ -150,10 +151,23 @@ def brute_min_doubled_capacity(g: Graph) -> int:
                 b += 1
             else:
                 d += 1
-        doubled = 2 * d + a + b
-        best = doubled if best is None else min(best, doubled)
+        key = (2 * d + a + b, len(members), mask)
+        best = key if best is None else min(best, key)
     assert best is not None
-    return best
+    return best[0], frozenset(bits(best[2]))
+
+
+def doubled_capacity_of_mask(g: Graph, cmask: int) -> int:
+    """Doubled capacity of a clique given as a mask, skipping validation."""
+    a_b = 0
+    d = 0
+    for v in bits(g.vertex_mask() & ~cmask):
+        hits = g.adj[v] & cmask
+        if hits == cmask or hits == 0:
+            a_b += 1
+        else:
+            d += 1
+    return 2 * d + a_b
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from alpha2minor import (
@@ -21,7 +23,54 @@ from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
+from alpha2minor.invariants import critical_vertices
 from alpha2minor.packing import P3Packing
+
+
+# The per-graph decompositions that every ell of one graph reuses.
+CONSTRUCT_CACHES = (
+    construct._noncritical_chain,
+    construct._join_split,
+    construct._clique_plus_seagulls,
+)
+
+
+def _clear_construct_caches() -> None:
+    for cached in CONSTRUCT_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def patch_construct(monkeypatch):
+    """Patch a name in ``construct`` and clear the per-graph caches, so that
+    the next construction calls the patched function instead of reusing a
+    decomposition built earlier; cleared again when the test ends."""
+
+    def patch(name, value):
+        monkeypatch.setattr(construct, name, value)
+        _clear_construct_caches()
+
+    yield patch
+    _clear_construct_caches()
+
+
+def _every_ell_json(form, g, ells, cold: bool) -> dict[int, dict]:
+    """Certificate JSON for each ell, in the given order; ``cold`` clears the
+    per-graph caches before each ell, otherwise only before the first."""
+    _clear_construct_caches()
+    out = {}
+    for ell in ells:
+        if cold:
+            _clear_construct_caches()
+        out[ell] = certificate_to_json(form(g, ell))
+    return out
+
+
+def _assert_cache_invisible(form, g, bound: int) -> None:
+    ells = range(1, bound // 2 + 1)
+    cold = _every_ell_json(form, g, ells, cold=True)
+    assert _every_ell_json(form, g, ells, cold=False) == cold
+    assert _every_ell_json(form, g, reversed(ells), cold=False) == cold
 
 
 def _both_forms_every_ell(universe, max_n: int):
@@ -163,13 +212,13 @@ class TestHalfForm:
         )
         assert fallbacks > 100
 
-    def test_missing_seagull_packing_raises(self, monkeypatch):
+    def test_missing_seagull_packing_raises(self, patch_construct):
         g = next(
             h
             for h in (random_alpha2(11, seed) for seed in range(50))
             if construct_half_minor(h, 1).trace[0].kind == "FallbackConnectivity"
         )
-        monkeypatch.setattr(construct, "find_p3_packing", lambda h, count: None)
+        patch_construct("find_p3_packing", lambda h, count: None)
         with pytest.raises(InvariantViolation, match="seagull") as exc:
             construct_half_minor(g, 1)
         state = exc.value.state
@@ -252,10 +301,12 @@ class TestChiForm:
                     rows += 1
         assert rows == 119 and fallbacks > 0
 
-    def test_wrong_gallai_edmonds_set_raises(self, c5, monkeypatch):
+    def test_wrong_gallai_edmonds_set_raises(self, c5, patch_construct):
         # join(C5, C5) is vertex-critical: every vertex is in D.  A D that
-        # leaves vertex 0 out must not be trusted.
-        monkeypatch.setattr(construct, "critical_vertices", lambda g: g.vertex_mask() & ~1)
+        # leaves vertex 0 out must not be trusted, even after a construction
+        # on the same graph has filled the caches.
+        construct_chi_minor(join(c5, c5), 2)
+        patch_construct("critical_vertices", lambda g: g.vertex_mask() & ~1)
         with pytest.raises(InvariantViolation, match="Gallai-Edmonds"):
             construct_chi_minor(join(c5, c5), 2)
 
@@ -266,6 +317,52 @@ class TestChiForm:
             construct_chi_minor(c5, 2)  # chi = 3 < 4
         with pytest.raises(PreconditionError):
             construct_chi_minor(named("cycle", 6), 1)
+
+
+class TestPerGraphCaches:
+    def test_cache_invisible_on_joins(self):
+        # The 119 rows of test_joins_with_an_even_order_factor: certificates
+        # built with cold caches, with warm ones, and for ell in descending
+        # order are identical.
+        rows = 0
+        for a in range(5, 12):
+            for b in range(a, 12):
+                g = named("join", random_alpha2(a, 0), random_alpha2(b, 0))
+                chi = chromatic_number_alpha2(g)
+                _assert_cache_invisible(construct_chi_minor, g, chi)
+                rows += chi // 2
+        assert rows == 119
+
+    def test_cache_invisible_on_universe(self, universe):
+        for n in range(1, 8):
+            for g in universe(n):
+                _assert_cache_invisible(construct_half_minor, g, ceil_half(n))
+                _assert_cache_invisible(
+                    construct_chi_minor, g, chromatic_number_alpha2(g)
+                )
+
+    def test_chain_built_once_per_graph(self, patch_construct):
+        # Every ell >= 2 of this join deletes the same four noncritical
+        # vertices down to a complete core; D is found once per graph of
+        # that chain, not once per ell.
+        g = named("join", random_alpha2(7, 0), random_alpha2(7, 0))
+        chi = chromatic_number_alpha2(g)
+        asked = []
+        patch_construct(
+            "critical_vertices",
+            lambda h: asked.append(emit_graph6(h)) or critical_vertices(h),
+        )
+        certs = [construct_chi_minor(g, ell) for ell in range(1, chi // 2 + 1)]
+        chain = [
+            s.data["graph6"]
+            for cert in certs
+            for s in cert.trace
+            if s.kind == "DeleteNoncriticalVertex"
+        ]
+        assert len(chain) == 16 and len(set(chain)) == 4
+        core = certs[-1].trace[-1]
+        assert core.kind == "CliqueDirect"
+        assert Counter(asked) == Counter(set(chain) | {core.data["graph6"]})
 
 
 class TestCertificates:

@@ -139,6 +139,29 @@ class TestInducedSubgraph:
                     assert h.has_edge(i, j) == g.has_edge(u, v)
         assert mapping == {u: i for i, u in enumerate(chosen)}
 
+    @settings(max_examples=150, derandomize=True)
+    @given(st.data())
+    def test_squeezed_rows_match_definition(self, data):
+        # Orders past one 64-bit word; vertex lists empty, full, unsorted or
+        # with repeats.
+        n = data.draw(st.sampled_from((0, 1, 2, 7, 16, 63, 64, 65, 70)))
+        g = random_graph(n, data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(0, 10**6)))
+        vertices = data.draw(
+            st.one_of(
+                st.just([]),
+                st.permutations(range(n)),
+                st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n),
+            )
+        )
+        h, mapping = induced_subgraph(g, vertices)
+        index = {v: i for i, v in enumerate(sorted(set(vertices)))}
+        kept = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+        assert h == Graph.from_edges(len(index), kept)
+        assert mapping == index
+        bad = data.draw(st.sampled_from((-1, n, n + 64)))
+        with pytest.raises(PreconditionError):
+            induced_subgraph(g, list(vertices) + [bad])
+
 
 class TestClosedNeighborhood:
     def test_empty(self, c5):

@@ -14,7 +14,7 @@ from alpha2minor import (
     named,
 )
 from alpha2minor.construct import _critical_nonadjacent_pair
-from alpha2minor.invariants import critical_vertices, doubled_capacity_of_mask
+from alpha2minor.invariants import critical_vertices
 from conftest import random_graph
 from oracles import (
     brute_alpha_at_most_two,
@@ -23,6 +23,7 @@ from oracles import (
     brute_independence_number,
     capacity,
     chi_drop_scan,
+    doubled_capacity_of_mask,
     is_vertex_critical,
     scan_critical_nonadjacent_pair,
 )

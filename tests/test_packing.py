@@ -6,6 +6,7 @@ from alpha2minor import (
     exchange_improve,
     find_p3_packing,
     named,
+    random_alpha2,
     validate_packing,
     verify_packing_characterization,
 )
@@ -80,15 +81,19 @@ class TestConditions:
             )
 
     def test_minimum_capacity_matches_all_clique_scan(self, universe):
+        # Value and witness (fewest vertices, then smallest mask) both.
         for n in range(1, 8):
             for g in universe(n):
-                assert minimum_clique_capacity(g)[0] == brute_min_doubled_capacity(g)
+                assert minimum_clique_capacity(g) == brute_min_doubled_capacity(g)
+        for seed in range(6):
+            g = random_alpha2(14, seed)
+            assert minimum_clique_capacity(g) == brute_min_doubled_capacity(g)
         # Removing vertex 0 from the maximal clique {0, 1, 2, 3} turns mixed
         # vertices into complete ones, so the minimum lies at a sub-clique of
         # a maximal clique whose own doubled capacity (8) clears 2 * 3.
         g = parse_graph6("G~]K[[")
         assert minimum_clique_capacity(g) == (5, frozenset({1, 2, 3}))
-        assert brute_min_doubled_capacity(g) == 5
+        assert brute_min_doubled_capacity(g) == (5, frozenset({1, 2, 3}))
         report = check_packing_conditions(g, 3)
         assert report.min_doubled_capacity == 5
         assert report.min_capacity_clique == frozenset({1, 2, 3})
