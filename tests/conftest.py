@@ -49,6 +49,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def co_circulant(n: int, steps: set[int]) -> Graph:
+    """Complement of the Cayley graph Cay(Z_n, +-steps)."""
+    diffs = {d % n for s in steps for d in (s, -s)}
+    return Graph.from_edges(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % n not in diffs],
+    )
+
+
 def isomorphic(g: Graph, h: Graph) -> bool:
     """``are_isomorphic`` with each graph's refined colors computed here."""
     return are_isomorphic(g, refined_colors(g), h, refined_colors(h))

@@ -7,6 +7,7 @@ import pytest
 from alpha2minor import cli, emit_graph6, enumerate_alpha2, named, random_alpha2
 from alpha2minor.cli import main, parse_target
 from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
+from conftest import co_circulant
 
 C5 = emit_graph6(named("cycle", 5))
 C6 = emit_graph6(named("cycle", 6))
@@ -327,16 +328,48 @@ GOLDEN = {
     "enumerate_8": "e51cef1b696a6aff1619ac94877380c4dca5331fab7f64132b57dbad37aae26b",
     "enumerate_9": "c32fcc1e73f19129ea4b2bd30b591066f599bb5f7c3edee333f33b26d3587813",
     "enumerate_10": "cb518e77cd6aa41a843c232e0a4b711434bfb8fc4e7ba878e77cabacc5b103f8",
+    "verify_circulants": "c24b72cfead386908dc169da0e50b8e2bf04dcfa13d0f30f5db50c74a9e663d6",
+}
+
+# Circulant complements whose half form packs paths (PackAndContract) and
+# reaches the n = 4*ell - 1 edge case (SmallCaseEdge), which no other corpus
+# does.
+CIRCULANTS = ((31, {1, 3, 5, 12}), (33, {1, 6, 10, 15}), (35, {1, 7, 11, 16}))
+
+TRACE_KINDS = {
+    "CliqueDirect",
+    "DeleteVertexEven",
+    "FallbackConnectivity",
+    "FallbackClique",
+    "PackAndContract",
+    "SmallCaseEdge",
+    "MaxDegreeStar",
+    "DelegateHalf",
+    "DeleteNoncriticalVertex",
+    "JoinDecompose",
+    "CliqueAbsorb",
+    "ParityGlue",
 }
 
 
+def _trace_kinds(emit_dir) -> Counter:
+    return Counter(
+        step["kind"]
+        for path in emit_dir.iterdir()
+        for step in json.loads(path.read_text())["trace"]
+    )
+
+
 def test_golden_reports_and_certificates(capsys, tmp_path):
-    """Reports and emitted certificates stay byte-identical on fixed corpora."""
+    """Reports and emitted certificates stay byte-identical on fixed corpora,
+    and together they take every constructor branch."""
     digests = {}
+    kinds = Counter()
     emit = tmp_path / "sweep"
     code, out, _ = run(capsys, ["sweep", "1..7", "--emit", str(emit)])
     assert code == 0
     digests["sweep_1_7"] = _digest(out, emit)
+    kinds += _trace_kinds(emit)
 
     src = tmp_path / "random.g6"
     code, out, _ = run(capsys, ["gen", "11", "--random", "6", "--seed", "0"])
@@ -345,6 +378,7 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(src), "--half", "--emit", str(emit)])
     assert code == 0
     digests["verify_half_random_11"] = _digest(out, emit)
+    kinds += _trace_kinds(emit)
 
     joins = [emit_graph6(named("join", named(*a), named(*b))) for a, b in JOIN_FACTORS]
     src = tmp_path / "joins.g6"
@@ -353,6 +387,7 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
     assert code == 0
     digests["verify_chi_joins"] = _digest(out, emit)
+    kinds += _trace_kinds(emit)
 
     joins = [
         emit_graph6(named("join", random_alpha2(a, seed), random_alpha2(b, seed)))
@@ -363,13 +398,22 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     emit = tmp_path / "chi_random"
     code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
     assert code == 0
-    kinds = Counter(
-        step["kind"]
-        for path in emit.iterdir()
-        for step in json.loads(path.read_text())["trace"]
-    )
-    assert kinds["DeleteNoncriticalVertex"] >= 100 and kinds["ParityGlue"] >= 1
+    random_kinds = _trace_kinds(emit)
+    assert random_kinds["DeleteNoncriticalVertex"] >= 100 and random_kinds["ParityGlue"] >= 1
     digests["verify_chi_random_joins"] = _digest(out, emit)
+    kinds += random_kinds
+
+    src = tmp_path / "circulants.g6"
+    src.write_text("".join(emit_graph6(co_circulant(n, steps)) + "\n" for n, steps in CIRCULANTS))
+    emit = tmp_path / "circulants"
+    reports = ""
+    for half in ([], ["--half"]):
+        code, out, _ = run(capsys, ["verify", str(src), *half, "--emit", str(emit)])
+        assert code == 0
+        reports += out
+    digests["verify_circulants"] = _digest(reports, emit)
+    kinds += _trace_kinds(emit)
+    assert set(kinds) == TRACE_KINDS
 
     # The enumeration order itself, which every sweep report follows; the
     # n = 10 level is shared with test_criterion_6_edge_recipe's universe.

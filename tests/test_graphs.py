@@ -26,7 +26,7 @@ from alpha2minor.graphs import (
     is_connected,
     mask_of,
 )
-from conftest import isomorphic, random_graph
+from conftest import co_circulant, isomorphic, random_graph
 from oracles import brute_alpha_at_most_two, brute_vertex_connectivity
 
 graphs_strategy = st.builds(
@@ -221,15 +221,6 @@ def _tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
 
 
-def _co_circulant(n: int, steps: set[int]) -> Graph:
-    """Complement of the Cayley graph Cay(Z_n, +-steps)."""
-    diffs = {d % n for s in steps for d in (s, -s)}
-    return Graph.from_edges(
-        n,
-        [(u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % n not in diffs],
-    )
-
-
 def _assert_kernel_matches_oracle(graphs) -> None:
     for g in graphs:
         kappa = brute_vertex_connectivity(g)
@@ -260,7 +251,7 @@ class TestConnectivityKernel:
         [(31, {1, 3, 5, 12}, 22), (33, {1, 6, 10, 15}, 24), (35, {1, 7, 11, 16}, 26)],
     )
     def test_circulant_complements(self, n, steps, kappa):
-        g = _co_circulant(n, steps)
+        g = co_circulant(n, steps)
         assert alpha_at_most_two(g)
         assert is_k_connected(g, kappa)
         assert not is_k_connected(g, kappa + 1)
