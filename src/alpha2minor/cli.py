@@ -95,8 +95,7 @@ class Checks:
     forms: tuple[str, ...]  # constructor forms, "half" and/or "chi", in row order
     ells: tuple[int, ...] | None = None  # None: every admissible ell
     certs: bool = False  # keep the certificate JSON text of each ok row
-    screen: bool = True  # skip graphs whose independence number exceeds 2
-    packing: bool = False  # the sweep's packing rows
+    sweep: bool = False  # add packing rows, skip the alpha <= 2 screen the universe meets
     oracle: MinorTarget | None = None  # compare with the brute-force oracle instead
     cap: int = ORACLE_DEFAULT_MAX_N  # oracle size guard
 
@@ -123,11 +122,11 @@ def _check_line(checks: Checks, item: tuple[int, str]) -> dict:
     else:
         if checks.oracle is not None:
             rows.append(_oracle_row(checks, g, line))
-        elif checks.screen and not alpha_at_most_two(g):
+        elif not checks.sweep and not alpha_at_most_two(g):
             rows.append(Row(0, "-", "skipped", "independence number exceeds 2"))
         else:
             rows, certs = _construct_rows(g, line, checks.forms, checks.ells, checks.certs)
-            if checks.packing:
+            if checks.sweep:
                 rows += _packing_rows(g)
     return {"index": index, "line": line, "rows": rows, "certs": certs}
 
@@ -315,9 +314,7 @@ def cmd_sweep(args) -> int:
                 f"{args.input} has no graph of order {args.range}"
                 " with independence number at most two"
             )
-    # Every graph of the universe has independence number at most two, so the
-    # check skips that screen.
-    checks = Checks(forms=("half", "chi"), certs=bool(args.emit), screen=False, packing=True)
+    checks = Checks(forms=("half", "chi"), certs=bool(args.emit), sweep=True)
     rows = []
     any_failures = False
     all_certs = []

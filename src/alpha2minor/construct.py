@@ -96,18 +96,13 @@ def certificate_to_json(cert: Certificate) -> dict:
 # -- shared helpers --------------------------------------------------------
 
 
-def _invert(old_to_new: dict[int, int]) -> list[int]:
-    new_to_old = [0] * len(old_to_new)
-    for old, new in old_to_new.items():
-        new_to_old[new] = old
-    return new_to_old
-
-
-def _relabel_model(model: MinorModel, new_to_old: Sequence[int]) -> MinorModel:
-    lift = lambda s: frozenset(new_to_old[v] for v in s)
+def _relabel_model(model: MinorModel, lift: Sequence[int]) -> MinorModel:
+    """A model of a subgraph, in the vertices of the graph its ``lift`` maps
+    into."""
+    up = lambda s: frozenset(lift[v] for v in s)
     return MinorModel(
-        tuple(lift(s) for s in model.clique_side),
-        tuple(lift(s) for s in model.independent_side),
+        tuple(up(s) for s in model.clique_side),
+        tuple(up(s) for s in model.independent_side),
     )
 
 
@@ -140,13 +135,6 @@ def _finish(
         trace=tuple(trace),
         validated=True,
     )
-
-
-def _split_complete_model(kmodel: MinorModel, ell: int) -> MinorModel:
-    """View a complete-graph model as a clique-join model: the first ell sets
-    become the clique side, the rest the independent side."""
-    sets = kmodel.all_sets()
-    return MinorModel(tuple(sets[:ell]), tuple(sets[ell:]))
 
 
 # -- the edge-selection recipe for the hard case ----------------------------
@@ -209,19 +197,17 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     if n % 2 == 0:
         v = min(range(n), key=lambda x: (g.degree(x), x))
         _step(trace, "DeleteVertexEven", g, vertex=v)
-        h, old_to_new = delete_vertices(g, (v,))
-        return _relabel_model(_half_model(h, ell, trace), _invert(old_to_new))
+        h, lift = delete_vertices(g, (v,))
+        return _relabel_model(_half_model(h, ell, trace), lift)
     k = ceil_half(n)
     if not is_k_connected(g, k):
-        kmodel = _complete_minor_fallback(
-            g, trace, "FallbackConnectivity", required_connectivity=k
+        return _complete_minor_fallback(
+            g, ell, trace, "FallbackConnectivity", required_connectivity=k
         )
-        return _split_complete_model(kmodel, ell)
     if 4 * clique_number(g) >= n + 3:
-        kmodel = _complete_minor_fallback(
-            g, trace, "FallbackClique", clique_number=clique_number(g)
+        return _complete_minor_fallback(
+            g, ell, trace, "FallbackClique", clique_number=clique_number(g)
         )
-        return _split_complete_model(kmodel, ell)
     if n >= 4 * ell + 1:
         packing = find_p3_packing(g, ell)
         if packing is None:
@@ -250,17 +236,17 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
 
 
 def _complete_minor_fallback(
-    g: Graph, trace: list[TraceStep], kind: str, **data
+    g: Graph, ell: int, trace: list[TraceStep], kind: str, **data
 ) -> MinorModel:
     """The K_k model of ``_clique_plus_seagulls``, recorded under ``kind``
-    together with ``data``."""
+    together with ``data``: its first ell branch sets form the clique side,
+    the rest the independent side."""
     clique, triples = _clique_plus_seagulls(g)
     _step(
         trace, kind, g, **data, clique=list(clique), triples=[list(t) for t in triples]
     )
-    return MinorModel(
-        tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
-    )
+    sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
+    return MinorModel(sets[:ell], sets[ell:])
 
 
 @lru_cache(maxsize=64)
@@ -278,7 +264,7 @@ def _clique_plus_seagulls(
     ell, so it is built once per graph."""
     k = ceil_half(g.n)
     clique = sorted(max_clique(g)[1])[:k]
-    h, old_to_new = delete_vertices(g, clique)
+    h, lift = delete_vertices(g, clique)
     packing = find_p3_packing(h, k - len(clique))
     if packing is None:
         raise InvariantViolation(
@@ -290,10 +276,7 @@ def _clique_plus_seagulls(
                 "conditions": check_packing_conditions(h, k - len(clique)),
             },
         )
-    new_to_old = _invert(old_to_new)
-    return tuple(clique), tuple(
-        tuple(new_to_old[v] for v in t) for t in packing.triples
-    )
+    return tuple(clique), tuple(tuple(lift[v] for v in t) for t in packing.triples)
 
 
 def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
@@ -301,17 +284,14 @@ def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     disjoint induced paths; the ell leftover vertices, driven inside the
     edge's closed neighborhood by exchanges, form the independent side."""
     u, v = select_edge_small_case(g, ell)
-    gp, old_to_new = delete_vertices(g, (u, v))
+    gp, lift = delete_vertices(g, (u, v))
     sub = find_p3_packing(gp, ell - 1)
     if sub is None:
         raise InvariantViolation(
             "guaranteed path packing not found after edge removal",
             {"graph6": emit_graph6(g), "edge": (u, v), "ell": ell},
         )
-    new_to_old = _invert(old_to_new)
-    lifted = P3Packing(
-        tuple((new_to_old[a], new_to_old[b], new_to_old[c]) for a, b, c in sub.triples)
-    )
+    lifted = P3Packing(tuple(tuple(lift[x] for x in t) for t in sub.triples))
     packing = exchange_improve(g, (u, v), lifted)
     stray = uncovered_outside_neighborhood(g, (u, v), packing)
     if stray:
@@ -386,48 +366,42 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
         _step(trace, "DelegateHalf", g)
         return _half_model(g, ell, trace)
     core, lift, deletions = _noncritical_chain(g)
-    for graph6, size, x in deletions:
-        trace.append(
-            TraceStep(
-                "DeleteNoncriticalVertex", {"graph6": graph6, "n": size, "vertex": x}
-            )
-        )
+    trace.extend(deletions)
     if core.is_complete():
         _step(trace, "CliqueDirect", core)
         model = _singleton_model(range(ell), range(ell, chi))
     else:
         model = _critical_join_model(core, ell, chi, trace)
-    return _relabel_model(model, lift) if deletions else model
+    return _relabel_model(model, lift)
 
 
 @lru_cache(maxsize=64)
-def _noncritical_chain(
-    g: Graph,
-) -> tuple[Graph, tuple[int, ...], tuple[tuple[str, int, int], ...]]:
+def _noncritical_chain(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[TraceStep, ...]]:
     """Delete the lowest vertex outside the complement's Gallai-Edmonds set D
     until every vertex is in D.  Returns the vertex-critical core, the lift
-    from the core's vertices to those of ``g``, and each deletion as the
-    (graph6, n, vertex) of the graph it was made in.
+    from the core's vertices to those of ``g``, and the recorded
+    ``DeleteNoncriticalVertex`` steps, which every certificate built from this
+    cache entry shares.
 
     Only the core's branch depends on ell: along the chain n falls while chi
     stays, so no earlier test of ``_chi_model`` fires there, and a complete
     graph, whose vertices are all in D, can only be the core."""
     chi = chromatic_number_alpha2(g)
     lift = tuple(range(g.n))
-    deletions = []
+    deletions: list[TraceStep] = []
     while True:
         noncritical = g.vertex_mask() & ~critical_vertices(g)
         if not noncritical:
             return g, lift, tuple(deletions)
         x = (noncritical & -noncritical).bit_length() - 1
-        h, _ = delete_vertices(g, (x,))
+        h, hlift = delete_vertices(g, (x,))
         if chromatic_number_alpha2(h) != chi:
             raise InvariantViolation(
                 "deleting a vertex outside the Gallai-Edmonds set lowered chi",
                 {"graph6": emit_graph6(g), "chi": chi, "vertex": x},
             )
-        deletions.append((emit_graph6(g), g.n, x))
-        lift = lift[:x] + lift[x + 1 :]
+        _step(deletions, "DeleteNoncriticalVertex", g, vertex=x)
+        lift = tuple(lift[v] for v in hlift)
         g = h
 
 
@@ -446,10 +420,8 @@ def _join_split(
             "critical graph on fewer than 2*chi - 1 vertices is anti-connected",
             {"graph6": emit_graph6(g), "chi": chi},
         )
-    side1 = tuple(sorted(comps[0]))
-    side2 = tuple(v for v in range(g.n) if v not in comps[0])
-    g1, _ = induced_subgraph(g, side1)
-    g2, _ = induced_subgraph(g, side2)
+    g1, side1 = induced_subgraph(g, comps[0])
+    g2, side2 = delete_vertices(g, comps[0])
     chi1 = chromatic_number_alpha2(g1)
     chi2 = chromatic_number_alpha2(g2)
     if chi1 + chi2 != chi:
@@ -538,10 +510,9 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
                 {"graph6": emit_graph6(gi), "chi": chii},
             )
         ui, vi = pair
-        hi, old_to_new = delete_vertices(gi, (ui, vi))
+        hi, hlift = delete_vertices(gi, (ui, vi))
         sub = _chi_model(hi, li, chii - 1, trace)
-        in_gi = _relabel_model(sub, _invert(old_to_new))
-        halves.append(_relabel_model(in_gi, lifti))
+        halves.append(_relabel_model(sub, [lifti[v] for v in hlift]))
         pairs_g.append((lifti[ui], lifti[vi]))
     (u1, v1), (u2, v2) = pairs_g
     _step(

@@ -172,29 +172,32 @@ def independent_sets(g: Graph) -> list[int]:
     return sorted(out)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on ``vertices``, re-indexed 0..k-1 in increasing label
-    order.  Returns the new graph and the old-to-new index map.
+    order.  Returns the new graph and its lift: the kept vertices in
+    increasing order, so vertex i of the subgraph is vertex ``lift[i]`` of
+    ``g``.
 
     Each kept row is masked to the kept vertices, then every dropped bit
     position is squeezed out, highest first, so that the lower positions
     still to be squeezed have not moved."""
-    old = sorted(set(vertices))
-    if old and not (0 <= old[0] and old[-1] < g.n):
+    lift = tuple(sorted(set(vertices)))
+    if lift and not (0 <= lift[0] and lift[-1] < g.n):
         raise PreconditionError("vertex out of range")
-    keep = mask_of(old)
+    keep = mask_of(lift)
     lows = [(1 << p) - 1 for p in reversed(list(bits(g.vertex_mask() & ~keep)))]
     rows = []
-    for o in old:
-        row = g.adj[o] & keep
+    for v in lift:
+        row = g.adj[v] & keep
         for low in lows:
             row = (row & low) | ((row >> 1) & ~low)
         rows.append(row)
-    return _graph_unchecked(len(old), tuple(rows)), {o: i for i, o in enumerate(old)}
+    return _graph_unchecked(len(lift), tuple(rows)), lift
 
 
-def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the complement of ``vertices`` (old-to-new map)."""
+def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on the complement of ``vertices``, with its lift as in
+    ``induced_subgraph``."""
     drop = set(vertices)
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
 

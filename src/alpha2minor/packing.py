@@ -32,9 +32,6 @@ class P3Packing:
 
     triples: tuple[tuple[int, int, int], ...]
 
-    def size(self) -> int:
-        return len(self.triples)
-
     def vertex_mask(self) -> int:
         return mask_of(v for t in self.triples for v in t)
 

@@ -220,7 +220,7 @@ def test_criterion_7_exchange_termination_and_goal():
         if uncovered_outside_neighborhood(g, (u, v), out) != frozenset():
             failures.append((seed - 1, "goal missed"))
             continue
-        size = out.size()
+        size = len(out.triples)
         covered = out.vertex_mask() | (1 << u) | (1 << v)
         model = MinorModel(
             (frozenset((u, v)),) + tuple(frozenset(t) for t in out.triples),
@@ -257,25 +257,23 @@ def _neighborhood_confined_packing(g, u, v, miss):
     inside N[{u, v}] so the exchange procedure has work to do."""
     closed = closed_neighborhood_mask(g, (1 << u) | (1 << v))
     inside = [x for x in bits(closed) if x not in (u, v)]
-    sub, o2n = induced_subgraph(g, inside)
-    n2o = {i: o for o, i in o2n.items()}
+    sub, lift = induced_subgraph(g, inside)
     for size in range(sub.n // 3, 0, -1):
         if size < miss:
             break
         found = find_p3_packing(sub, size)
         if found is not None:
             return P3Packing(
-                tuple(tuple(n2o[x] for x in t) for t in found.triples)
+                tuple(tuple(lift[x] for x in t) for t in found.triples)
             )
-    gp, o2n2 = delete_vertices(g, (u, v))
-    n2o2 = {i: o for o, i in o2n2.items()}
+    gp, lift = delete_vertices(g, (u, v))
     for size in range(gp.n // 3, 0, -1):
         if size < miss:
             break
         found = find_p3_packing(gp, size)
         if found is not None:
             return P3Packing(
-                tuple(tuple(n2o2[x] for x in t) for t in found.triples)
+                tuple(tuple(lift[x] for x in t) for t in found.triples)
             )
     return None
 

@@ -1,4 +1,8 @@
+import ast
+import io
+import tokenize
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -438,3 +442,34 @@ class TestPackAndContractAssembly:
                     )
                     built += 1
         assert built > 20
+
+
+def test_readme_tour_shows_its_values():
+    """README's library tour runs, and each expression whose comment opens
+    with a Python literal evaluates to that literal."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: (tok.string[1:].split() or [""])[0]
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = {}
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        try:
+            expected = ast.literal_eval(comments.get(stmt.lineno, ""))
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected, ast.unparse(stmt.value)
+        checked[ast.unparse(stmt.value)] = value
+    assert checked == {
+        "a2.chromatic_number_alpha2(g)": 5,
+        "a2.vertex_connectivity(g)": 6,
+        "a2.validate_model(g, cert.target, cert.model)": [],
+        "a2.find_minor_bruteforce(g, a2.CliqueJoinIndependent(2, 3)) is not None": True,
+    }

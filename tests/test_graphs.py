@@ -108,13 +108,13 @@ class TestComplement:
 
 class TestInducedSubgraph:
     def test_empty(self, c5):
-        h, mapping = induced_subgraph(c5, [])
-        assert h.n == 0 and mapping == {}
+        h, lift = induced_subgraph(c5, [])
+        assert h.n == 0 and lift == ()
 
     def test_consecutive_cycle_vertices_give_path(self, c5):
-        h, mapping = induced_subgraph(c5, [0, 1, 2])
+        h, lift = induced_subgraph(c5, [0, 1, 2])
         assert h == named("path", 3)
-        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert lift == (0, 1, 2)
 
     def test_identity(self, c5):
         h, _ = induced_subgraph(c5, range(5))
@@ -131,13 +131,13 @@ class TestInducedSubgraph:
 
         rng = random.Random(seed)
         chosen = sorted(v for v in range(g.n) if rng.random() < 0.6)
-        h, mapping = induced_subgraph(g, chosen)
+        h, lift = induced_subgraph(g, chosen)
         assert h.n == len(chosen)
         for i, u in enumerate(chosen):
             for j, v in enumerate(chosen):
                 if i < j:
                     assert h.has_edge(i, j) == g.has_edge(u, v)
-        assert mapping == {u: i for i, u in enumerate(chosen)}
+        assert lift == tuple(chosen)
 
     @settings(max_examples=150, derandomize=True)
     @given(st.data())
@@ -153,11 +153,11 @@ class TestInducedSubgraph:
                 st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n),
             )
         )
-        h, mapping = induced_subgraph(g, vertices)
+        h, lift = induced_subgraph(g, vertices)
         index = {v: i for i, v in enumerate(sorted(set(vertices)))}
         kept = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
         assert h == Graph.from_edges(len(index), kept)
-        assert mapping == index
+        assert lift == tuple(sorted(set(vertices)))
         bad = data.draw(st.sampled_from((-1, n, n + 64)))
         with pytest.raises(PreconditionError):
             induced_subgraph(g, list(vertices) + [bad])
@@ -313,9 +313,9 @@ class TestGraph6:
 
 
 def test_delete_vertices_and_connectivity_helpers(c5):
-    h, mapping = delete_vertices(c5, (0,))
+    h, lift = delete_vertices(c5, (0,))
     assert h == named("path", 4)
-    assert mapping == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert lift == (1, 2, 3, 4)
     assert is_connected(c5)
     assert not is_connected(Graph.from_edges(2, []))
     assert mask_of([0, 2]) == 0b101
