@@ -55,6 +55,15 @@ def ceil_half(n: int) -> int:
     return (n + 1) // 2
 
 
+# Every kind of step a certificate's trace can record: the half form's, then
+# those only the chromatic form takes.
+TRACE_KINDS = (
+    "CliqueDirect", "DeleteVertexEven", "FallbackConnectivity", "FallbackClique",
+    "PackAndContract", "SmallCaseEdge", "MaxDegreeStar", "DelegateHalf",
+    "DeleteNoncriticalVertex", "JoinDecompose", "CliqueAbsorb", "ParityGlue",
+)
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One constructor decision; ``data`` refers to vertices of the graph the
@@ -199,15 +208,11 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
         _step(trace, "DeleteVertexEven", g, vertex=v)
         h, lift = delete_vertices(g, (v,))
         return _relabel_model(_half_model(h, ell, trace), lift)
-    k = ceil_half(n)
-    if not is_k_connected(g, k):
-        return _complete_minor_fallback(
-            g, ell, trace, "FallbackConnectivity", required_connectivity=k
-        )
-    if 4 * clique_number(g) >= n + 3:
-        return _complete_minor_fallback(
-            g, ell, trace, "FallbackClique", clique_number=clique_number(g)
-        )
+    fallback = _half_fallback(g)
+    if fallback is not None:
+        step, sets = fallback
+        trace.append(step)
+        return MinorModel(sets[:ell], sets[ell:])
     if n >= 4 * ell + 1:
         packing = find_p3_packing(g, ell)
         if packing is None:
@@ -235,35 +240,31 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     return _small_case_model(g, ell, trace)
 
 
-def _complete_minor_fallback(
-    g: Graph, ell: int, trace: list[TraceStep], kind: str, **data
-) -> MinorModel:
-    """The K_k model of ``_clique_plus_seagulls``, recorded under ``kind``
-    together with ``data``: its first ell branch sets form the clique side,
-    the rest the independent side."""
-    clique, triples = _clique_plus_seagulls(g)
-    _step(
-        trace, kind, g, **data, clique=list(clique), triples=[list(t) for t in triples]
-    )
-    sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
-    return MinorModel(sets[:ell], sets[ell:])
-
-
 @lru_cache(maxsize=64)
-def _clique_plus_seagulls(
+def _half_fallback(
     g: Graph,
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """A K_k model, k = ceil(n/2), from a clique W of G, truncated to k
-    vertices, plus k - |W| disjoint induced 3-vertex paths ("seagulls") in
-    G - W: W and the seagulls, in vertices of G.
+) -> tuple[TraceStep, tuple[frozenset[int], ...]] | None:
+    """The half form's branch for an odd non-complete graph, which does not
+    depend on ell: ``None`` when kappa >= k = ceil(n/2) and 4*omega < n + 3,
+    so that paths are packed; otherwise the recorded fallback step, which
+    every certificate built from this cache entry shares, and the branch sets
+    of a K_k, whose first ell sets form the clique side.
 
-    A seagull's ends are non-adjacent, so with independence number two every
+    The K_k comes from a maximum clique W, truncated to k vertices, plus
+    k - |W| disjoint induced 3-vertex paths ("seagulls") in G - W.  A
+    seagull's ends are non-adjacent, so with independence number two every
     other vertex sees one of them: each seagull dominates G, and the
     singletons of W and the seagulls are pairwise joined connected sets
-    (Chudnovsky and Seymour, "Packing seagulls").  Nothing here depends on
-    ell, so it is built once per graph."""
+    (Chudnovsky and Seymour, "Packing seagulls")."""
     k = ceil_half(g.n)
-    clique = sorted(max_clique(g)[1])[:k]
+    omega, witness = max_clique(g)
+    if not is_k_connected(g, k):
+        kind, data = "FallbackConnectivity", {"required_connectivity": k}
+    elif 4 * omega >= g.n + 3:
+        kind, data = "FallbackClique", {"clique_number": omega}
+    else:
+        return None
+    clique = sorted(witness)[:k]
     h, lift = delete_vertices(g, clique)
     packing = find_p3_packing(h, k - len(clique))
     if packing is None:
@@ -276,7 +277,11 @@ def _clique_plus_seagulls(
                 "conditions": check_packing_conditions(h, k - len(clique)),
             },
         )
-    return tuple(clique), tuple(tuple(lift[v] for v in t) for t in packing.triples)
+    triples = [[lift[v] for v in t] for t in packing.triples]
+    steps: list[TraceStep] = []
+    _step(steps, kind, g, **data, clique=clique, triples=triples)
+    sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
+    return steps[0], sets
 
 
 def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
@@ -365,34 +370,37 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
             )
         _step(trace, "DelegateHalf", g)
         return _half_model(g, ell, trace)
-    core, lift, deletions = _noncritical_chain(g)
+    core, lift, deletions, sides = _chi_decomposition(g)
     trace.extend(deletions)
-    if core.is_complete():
+    if sides is None:
         _step(trace, "CliqueDirect", core)
         model = _singleton_model(range(ell), range(ell, chi))
     else:
-        model = _critical_join_model(core, ell, chi, trace)
+        model = _critical_join_model(core, ell, chi, trace, *sides)
     return _relabel_model(model, lift)
 
 
 @lru_cache(maxsize=64)
-def _noncritical_chain(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[TraceStep, ...]]:
+def _chi_decomposition(
+    g: Graph,
+) -> tuple[Graph, tuple[int, ...], tuple[TraceStep, ...], tuple | None]:
     """Delete the lowest vertex outside the complement's Gallai-Edmonds set D
-    until every vertex is in D.  Returns the vertex-critical core, the lift
-    from the core's vertices to those of ``g``, and the recorded
+    until every vertex is in D, then split the vertex-critical core as a join:
+    its first co-component against the rest.  Returns the core, the lift from
+    the core's vertices to those of ``g``, the recorded
     ``DeleteNoncriticalVertex`` steps, which every certificate built from this
-    cache entry shares.
+    cache entry shares, and the core's two join sides, or ``None`` when the
+    core is complete.  Each side is its factor graph, the sorted vertices of
+    the core it came from (also the factor's lift) and its chromatic number.
 
     Only the core's branch depends on ell: along the chain n falls while chi
     stays, so no earlier test of ``_chi_model`` fires there, and a complete
-    graph, whose vertices are all in D, can only be the core."""
+    graph, whose vertices are all in D, can only be the core.  A non-complete
+    core has at most 2*chi - 2 vertices, so its complement is disconnected."""
     chi = chromatic_number_alpha2(g)
     lift = tuple(range(g.n))
     deletions: list[TraceStep] = []
-    while True:
-        noncritical = g.vertex_mask() & ~critical_vertices(g)
-        if not noncritical:
-            return g, lift, tuple(deletions)
+    while noncritical := g.vertex_mask() & ~critical_vertices(g):
         x = (noncritical & -noncritical).bit_length() - 1
         h, hlift = delete_vertices(g, (x,))
         if chromatic_number_alpha2(h) != chi:
@@ -403,17 +411,8 @@ def _noncritical_chain(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[TraceSte
         _step(deletions, "DeleteNoncriticalVertex", g, vertex=x)
         lift = tuple(lift[v] for v in hlift)
         g = h
-
-
-@lru_cache(maxsize=64)
-def _join_split(
-    g: Graph,
-) -> tuple[tuple[Graph, tuple[int, ...], int], tuple[Graph, tuple[int, ...], int]]:
-    """A vertex-critical graph on at most 2*chi - 2 vertices as a join: its
-    first co-component against the rest.  Each side is its factor graph, the
-    sorted vertices of ``g`` it came from (also the factor's lift) and its
-    chromatic number."""
-    chi = chromatic_number_alpha2(g)
+    if g.is_complete():
+        return g, lift, tuple(deletions), None
     comps = co_components(g)
     if len(comps) == 1:
         raise InvariantViolation(
@@ -429,15 +428,12 @@ def _join_split(
             "join did not add chromatic numbers",
             {"graph6": emit_graph6(g), "chi": (chi, chi1, chi2)},
         )
-    return (g1, side1, chi1), (g2, side2, chi2)
+    return g, lift, tuple(deletions), ((g1, side1, chi1), (g2, side2, chi2))
 
 
-def _critical_join_model(
-    g: Graph, ell: int, chi: int, trace: list[TraceStep]
-) -> MinorModel:
-    """Every vertex is in D, so G is vertex-critical, and n <= 2*chi - 2: the
-    complement is disconnected and G splits as a join."""
-    part1, part2 = _join_split(g)
+def _critical_join_model(g, ell, chi, trace, part1, part2) -> MinorModel:
+    """A vertex-critical non-complete G on at most 2*chi - 2 vertices, given
+    as the join of its two sides."""
     (g1, side1, chi1), (g2, side2, chi2) = part1, part2
     for l1 in range(1, ell):
         l2 = ell - l1

@@ -68,8 +68,8 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
-    def __repr__(self) -> str:  # compact and reconstructible
-        return f"Graph.from_graph6({emit_graph6(self)!r})"
+    def __repr__(self) -> str:  # compact; eval with parse_graph6 in scope
+        return f"parse_graph6({emit_graph6(self)!r})"
 
     # -- basic queries -------------------------------------------------
 
@@ -204,7 +204,7 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int
 
 # -- vertex connectivity -----------------------------------------------
 #
-# Both invariants count internally disjoint paths with a unit-capacity
+# ``is_k_connected`` counts internally disjoint paths with a unit-capacity
 # max-flow on the vertex-split digraph: vertex v becomes an in-node 2v and an
 # out-node 2v+1 joined by the arc 2v -> 2v+1, and every edge uv becomes the
 # arcs 2u+1 -> 2v and 2v+1 -> 2u.  All capacities are one, so the residual
@@ -274,39 +274,15 @@ def _local_connectivity(g: Graph, split: list[int], s: int, t: int, limit: int) 
     return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity: the fewest internally disjoint paths between
-    a non-adjacent pair, over Even's pairs, with each flow capped at the best
-    value so far (starting from the minimum degree).  Complete graphs give
-    n-1 and disconnected graphs give 0."""
-    n = g.n
-    if n <= 1:
-        return 0
-    if g.is_complete():
-        return n - 1
-    if not is_connected(g):
-        return 0
-    split = _split_rows(g)
-    full = g.vertex_mask()
-    best = min(g.degrees())
-    i = 0
-    while i < best:  # a separator smaller than best misses one of v_0..v_{best-1}
-        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
-            best = min(best, _local_connectivity(g, split, i, j, best))
-        i += 1
-    return best
-
-
 @lru_cache(maxsize=64)
 def is_k_connected(g: Graph, k: int) -> bool:
-    """Decide kappa(G) >= k with the flow kernel of ``vertex_connectivity``,
-    stopping each pair at k paths and the whole scan at the first pair with
-    fewer.
+    """Decide kappa(G) >= k, stopping each pair at k paths and the whole scan
+    at the first pair with fewer.
 
-    Equivalent to ``vertex_connectivity(g) >= k`` but cheaper when only the
-    comparison is needed, which is the hot case in the constructions.  The
-    half form asks the same k once per ell of one graph, so a few cache
-    entries suffice.
+    Cached per graph and k.  The constructors ask once per graph, inside the
+    half form's cached fallback test; the only repeat caller is the sweep's
+    packing-guarantee test, which asks again what the packing conditions of
+    the same graph asked.
     """
     if k <= 0:
         return True
@@ -326,6 +302,20 @@ def is_k_connected(g: Graph, k: int) -> bool:
             if _local_connectivity(g, split, i, j, k) < k:
                 return False
     return True
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Exact vertex connectivity: the largest k with ``is_k_connected(g, k)``,
+    by bisection between 0 and the minimum degree.  Complete graphs give n-1
+    and disconnected graphs give 0."""
+    low, high = 0, min(g.degrees(), default=0)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if is_k_connected(g, mid):
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 # -- graph6 serialization ----------------------------------------------

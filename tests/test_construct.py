@@ -24,19 +24,15 @@ from alpha2minor import (
 )
 from alpha2minor import clique_number, construct, emit_graph6, graphs, validate_packing
 from alpha2minor.construct import ceil_half
-from alpha2minor.graphs import Graph, closed_neighborhood_mask, mask_of
+from alpha2minor.graphs import Graph, closed_neighborhood_mask, delete_vertices, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
-from alpha2minor.invariants import critical_vertices
+from alpha2minor.invariants import co_components, critical_vertices
 from alpha2minor.packing import P3Packing
 
 
 # The per-graph decompositions that every ell of one graph reuses.
-CONSTRUCT_CACHES = (
-    construct._noncritical_chain,
-    construct._join_split,
-    construct._clique_plus_seagulls,
-)
+CONSTRUCT_CACHES = (construct._chi_decomposition, construct._half_fallback)
 
 
 def _clear_construct_caches() -> None:
@@ -87,6 +83,14 @@ def _both_forms_every_ell(universe, max_n: int):
             ):
                 for ell in range(1, bound // 2 + 1):
                     yield form(g, ell)
+
+
+def _random_joins():
+    """Joins of two random_alpha2 factors (seed 0) on 5 to 11 vertices: 119
+    chi-form rows."""
+    for a in range(5, 12):
+        for b in range(a, 12):
+            yield named("join", random_alpha2(a, 0), random_alpha2(b, 0))
 
 
 def _check_clique_plus_seagulls(data: dict) -> None:
@@ -238,6 +242,7 @@ class TestHalfForm:
         split_rows = graphs._split_rows
         monkeypatch.setattr(graphs, "_split_rows", lambda h: built.append(h) or split_rows(h))
         graphs.is_k_connected.cache_clear()
+        _clear_construct_caches()
         for ell in range(1, ceil_half(g.n) // 2 + 1):
             construct_half_minor(g, ell)
         assert built.count(g) <= 1
@@ -293,16 +298,14 @@ class TestChiForm:
         # chi = ceil(n/2) on many of these joins, so the chi form delegates to
         # the half form and its complete-minor fallback at up to 22 vertices.
         rows = fallbacks = 0
-        for a in range(5, 12):
-            for b in range(a, 12):
-                g = named("join", random_alpha2(a, 0), random_alpha2(b, 0))
-                chi = chromatic_number_alpha2(g)
-                for ell in range(1, chi // 2 + 1):
-                    cert = construct_chi_minor(g, ell)
-                    assert cert.validated
-                    assert validate_model(g, cert.target, cert.model) == []
-                    fallbacks += any(s.kind.startswith("Fallback") for s in cert.trace)
-                    rows += 1
+        for g in _random_joins():
+            chi = chromatic_number_alpha2(g)
+            for ell in range(1, chi // 2 + 1):
+                cert = construct_chi_minor(g, ell)
+                assert cert.validated
+                assert validate_model(g, cert.target, cert.model) == []
+                fallbacks += any(s.kind.startswith("Fallback") for s in cert.trace)
+                rows += 1
         assert rows == 119 and fallbacks > 0
 
     def test_wrong_gallai_edmonds_set_raises(self, c5, patch_construct):
@@ -329,12 +332,10 @@ class TestPerGraphCaches:
         # built with cold caches, with warm ones, and for ell in descending
         # order are identical.
         rows = 0
-        for a in range(5, 12):
-            for b in range(a, 12):
-                g = named("join", random_alpha2(a, 0), random_alpha2(b, 0))
-                chi = chromatic_number_alpha2(g)
-                _assert_cache_invisible(construct_chi_minor, g, chi)
-                rows += chi // 2
+        for g in _random_joins():
+            chi = chromatic_number_alpha2(g)
+            _assert_cache_invisible(construct_chi_minor, g, chi)
+            rows += chi // 2
         assert rows == 119
 
     def test_cache_invisible_on_universe(self, universe):
@@ -344,6 +345,50 @@ class TestPerGraphCaches:
                 _assert_cache_invisible(
                     construct_chi_minor, g, chromatic_number_alpha2(g)
                 )
+
+    def test_core_split_once_per_graph(self, patch_construct):
+        # Across every ell of one join, each non-complete core is split into
+        # its co-components once: the cores are the graphs the join steps
+        # record.
+        split = []
+        patch_construct(
+            "co_components", lambda h: split.append(emit_graph6(h)) or co_components(h)
+        )
+        total = 0
+        for g in _random_joins():
+            _clear_construct_caches()
+            split.clear()
+            certs = [
+                construct_chi_minor(g, ell)
+                for ell in range(1, chromatic_number_alpha2(g) // 2 + 1)
+            ]
+            cores = {
+                s.data["graph6"]
+                for cert in certs
+                for s in cert.trace
+                if s.kind in ("JoinDecompose", "CliqueAbsorb", "ParityGlue")
+            }
+            assert Counter(split) == Counter(cores)
+            total += len(cores)
+        assert total >= 20
+
+    def test_seagulls_packed_once_per_graph(self, patch_construct):
+        # Across every ell of one odd graph, the K_k beside the clique is
+        # packed once.
+        packed = []
+        patch_construct(
+            "find_p3_packing",
+            lambda h, count: packed.append(emit_graph6(h)) or find_p3_packing(h, count),
+        )
+        for g in (random_alpha2(n, seed) for n in (11, 13, 15) for seed in range(8)):
+            _clear_construct_caches()
+            packed.clear()
+            certs = [construct_half_minor(g, ell) for ell in range(1, ceil_half(g.n) // 2 + 1)]
+            step = certs[0].trace[0]
+            assert step.kind.startswith("Fallback")
+            assert all(cert.trace == (step,) for cert in certs)
+            beside = delete_vertices(g, step.data["clique"])[0]
+            assert packed == [emit_graph6(beside)]
 
     def test_chain_built_once_per_graph(self, patch_construct):
         # Every ell >= 2 of this join deletes the same four noncritical

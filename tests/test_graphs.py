@@ -85,6 +85,11 @@ class TestGraphType:
         assert g.edges() == [(0, 1), (1, 2)]
         assert g.degrees() == [1, 2, 1]
 
+    @pytest.mark.parametrize("n", [0, 5, 70])
+    def test_repr_evaluates_back(self, n):
+        g = random_graph(n, 0.5, n)
+        assert eval(repr(g), {"parse_graph6": parse_graph6}) == g
+
 
 class TestComplement:
     def test_c5_self_complementary(self, c5):
