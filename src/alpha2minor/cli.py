@@ -2,10 +2,16 @@
 exhaustive universe, cross-check the constructor against the brute-force
 oracle, and generate test universes.
 
+Each subcommand maps its own per-graph worker over its inputs, in worker
+processes with ``--jobs``: ``verify`` and ``oracle-check`` hand their workers
+graph6 lines, parsed in one place, and ``sweep`` hands its workers the
+``Graph``s of its universe, built in or read from ``--input``.
+
 Reports are byte-deterministic for fixed inputs, flags and seeds: workers
-return plain data, results are reassembled in input order, and wall-clock
-timings go to stderr only.  Exit codes: 0 all succeeded, 1 at least one
-failure, 2 usage or I/O error.
+return plain data, and results are reassembled in input order.  ``main``
+writes the one wall-clock line, ``<command>: N.NNs wall``, to stderr after
+any subcommand that did not fail with a usage error, ``gen`` included.  Exit
+codes: 0 all succeeded, 1 at least one failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -84,20 +89,7 @@ def _write_certs(emit_dir: str, certs: list[tuple[str, str]]) -> None:
         raise UsageError(exc) from None
 
 
-# -- the per-graph check ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Checks:
-    """What the per-graph check runs on each line; every subcommand picks its
-    own and only formats the rows that come back."""
-
-    forms: tuple[str, ...]  # constructor forms, "half" and/or "chi", in row order
-    ells: tuple[int, ...] | None = None  # None: every admissible ell
-    certs: bool = False  # keep the certificate JSON text of each ok row
-    sweep: bool = False  # add packing rows, skip the alpha <= 2 screen the universe meets
-    oracle: MinorTarget | None = None  # compare with the brute-force oracle instead
-    cap: int = ORACLE_DEFAULT_MAX_N  # oracle size guard
+# -- the per-graph workers ----------------------------------------------------
 
 
 class Row(NamedTuple):
@@ -109,32 +101,25 @@ class Row(NamedTuple):
     reason: str = ""
 
 
-def _check_line(checks: Checks, item: tuple[int, str]) -> dict:
-    """Parse one graph6 line and run ``checks`` on it.  Returns the line with
-    its rows and certificates."""
+def _check_line(per_graph, item: tuple[int, str]) -> dict:
+    """Parse one graph6 line and run ``per_graph(g, line)``, which returns
+    the graph's rows and certificates.  Returns the line with both."""
     index, line = item
-    rows: list[Row] = []
-    certs: list = []
     try:
         g = parse_graph6(line)
     except Alpha2Error as exc:
-        rows.append(Row(0, "-", "failed", f"malformed graph6: {exc}"))
+        rows, certs = [Row(0, "-", "failed", f"malformed graph6: {exc}")], []
     else:
-        if checks.oracle is not None:
-            rows.append(_oracle_row(checks, g, line))
-        elif not checks.sweep and not alpha_at_most_two(g):
-            rows.append(Row(0, "-", "skipped", "independence number exceeds 2"))
-        else:
-            rows, certs = _construct_rows(g, line, checks.forms, checks.ells, checks.certs)
-            if checks.sweep:
-                rows += _packing_rows(g)
+        rows, certs = per_graph(g, line)
     return {"index": index, "line": line, "rows": rows, "certs": certs}
 
 
 def _construct_rows(
-    g: Graph, line: str, forms: tuple[str, ...], ells: tuple[int, ...] | None, want_certs: bool
+    forms: tuple[str, ...], ells: tuple[int, ...] | None, want_certs: bool, g: Graph, line: str
 ) -> tuple[list[Row], list]:
-    """One row per (form, ell); a constructor's error becomes a failed row."""
+    """One row per (form, ell), every admissible ell when ``ells`` is None;
+    a constructor's error becomes a failed row.  With ``want_certs``, also the
+    (file name, JSON text) of each ok row's certificate."""
     # Also for the half form: its certificates record chi too.
     chi = chromatic_number_alpha2(g)
     rows = []
@@ -157,6 +142,56 @@ def _construct_rows(
                 text = json.dumps(certificate_to_json(cert), sort_keys=True, indent=2)
                 certs.append((_cert_filename(line, ell, form), text + "\n"))
     return rows, certs
+
+
+def _verify_graph(
+    form: str, ells: tuple[int, ...] | None, want_certs: bool, g: Graph, line: str
+) -> tuple[list[Row], list]:
+    """``verify``: the constructor rows of a graph that passes the alpha <= 2
+    screen."""
+    if not alpha_at_most_two(g):
+        return [Row(0, "-", "skipped", "independence number exceeds 2")], []
+    return _construct_rows((form,), ells, want_certs, g, line)
+
+
+def _oracle_graph(
+    target: MinorTarget, form: str, cap: int, g: Graph, line: str
+) -> tuple[list[Row], list]:
+    """``oracle-check``: one row, the brute-force oracle's verdict on
+    ``target``, checked against the constructor when the target has the
+    constructive form."""
+    try:
+        oracle_model = find_minor_bruteforce(g, target, max_n=cap)
+    except OracleCapExceeded as exc:
+        return [Row(0, "-", "skipped", str(exc))], []
+    oracle_note = "oracle=found" if oracle_model is not None else "oracle=absent"
+    if not alpha_at_most_two(g):
+        return [Row(0, "-", "skipped", f"{oracle_note}; independence number exceeds 2")], []
+    bound = ceil_half(g.n) if form == "half" else chromatic_number_alpha2(g)
+    if (
+        not isinstance(target, CliqueJoinIndependent)
+        or target.m != bound - target.ell
+        or 2 * target.ell > bound
+    ):
+        return [Row(0, "-", "skipped", f"{oracle_note}; target not of constructive form")], []
+    (row,), _ = _construct_rows((form,), (target.ell,), False, g, line)
+    if row.status == "failed":
+        row = row._replace(reason=f"constructor failed: {row.reason}")
+    elif oracle_model is None:
+        row = row._replace(status="failed", reason="constructor succeeded but oracle found no model")
+    else:
+        row = row._replace(reason=oracle_note)
+    return [row], []
+
+
+def _sweep_graph(want_certs: bool, g: Graph) -> tuple[str, list[Row], list]:
+    """``sweep``: both forms' rows at every ell, then the packing rows, of a
+    graph of the universe, which has alpha <= 2 already.  Returns its graph6
+    line, for failure texts and certificate names, with the rows and
+    certificates."""
+    line = emit_graph6(g)
+    rows, certs = _construct_rows(("half", "chi"), None, want_certs, g, line)
+    return line, rows + _packing_rows(g), certs
 
 
 def _packing_rows(g: Graph) -> list[Row]:
@@ -191,37 +226,9 @@ def _packing_rows(g: Graph) -> list[Row]:
     return rows
 
 
-def _oracle_row(checks: Checks, g: Graph, line: str) -> Row:
-    """The brute-force oracle's verdict on ``checks.oracle``, checked against
-    the constructor when the target has the constructive form."""
-    target = checks.oracle
-    form = checks.forms[0]
-    try:
-        oracle_model = find_minor_bruteforce(g, target, max_n=checks.cap)
-    except OracleCapExceeded as exc:
-        return Row(0, "-", "skipped", str(exc))
-    oracle_note = "oracle=found" if oracle_model is not None else "oracle=absent"
-    if not alpha_at_most_two(g):
-        return Row(0, "-", "skipped", f"{oracle_note}; independence number exceeds 2")
-    bound = ceil_half(g.n) if form == "half" else chromatic_number_alpha2(g)
-    if (
-        not isinstance(target, CliqueJoinIndependent)
-        or target.m != bound - target.ell
-        or 2 * target.ell > bound
-    ):
-        return Row(0, "-", "skipped", f"{oracle_note}; target not of constructive form")
-    (row,), _ = _construct_rows(g, line, (form,), (target.ell,), False)
-    if row.status == "failed":
-        return row._replace(reason=f"constructor failed: {row.reason}")
-    if oracle_model is None:
-        return row._replace(status="failed", reason="constructor succeeded but oracle found no model")
-    return row._replace(reason=oracle_note)
-
-
-def _check_lines(checks: Checks, items: list[tuple[int, str]], jobs: int) -> list[dict]:
-    """``_check_line`` over ``items``, in input order, on at most one worker
-    process per item."""
-    worker = partial(_check_line, checks)
+def _check_lines(worker, items: list, jobs: int) -> list:
+    """``worker`` over ``items``, in input order, on at most one worker
+    process per item; ``worker`` and the items must pickle."""
     jobs = min(jobs, len(items))
     if jobs <= 1:
         return [worker(item) for item in items]
@@ -251,11 +258,8 @@ def _totals(results: list[dict]) -> dict:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    checks = Checks(
-        forms=("half",) if args.half else ("chi",), ells=args.ell, certs=bool(args.emit)
-    )
-    results = _check_lines(checks, _read_lines(args.input), args.jobs)
+    per_graph = partial(_verify_graph, "half" if args.half else "chi", args.ell, bool(args.emit))
+    results = _check_lines(partial(_check_line, per_graph), _read_lines(args.input), args.jobs)
     totals = _totals(results)
     if args.emit:
         _write_certs(args.emit, [cert for res in results for cert in res["certs"]])
@@ -276,7 +280,6 @@ def cmd_verify(args) -> int:
             f"# processed={totals['processed']} succeeded={totals['succeeded']}"
             f" failed={totals['failed']} skipped={totals['skipped']}"
         )
-    print(f"verify: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
     return 1 if totals["failed"] else 0
 
 
@@ -291,7 +294,6 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
     try:
         ns = _parse_range(args.range)
     except ValueError:
@@ -314,9 +316,10 @@ def cmd_sweep(args) -> int:
                 f"{args.input} has no graph of order {args.range}"
                 " with independence number at most two"
             )
-    checks = Checks(forms=("half", "chi"), certs=bool(args.emit), sweep=True)
-    rows = []
-    any_failures = False
+    worker = partial(_sweep_graph, bool(args.emit))
+    # One record per (n, ell), as the JSON report prints it; ell 0 counts the
+    # graphs of order n.
+    records = []
     all_certs = []
     for n in ns:
         if external is not None:
@@ -326,50 +329,31 @@ def cmd_sweep(args) -> int:
                 universe = enumerate_alpha2(n, cap=args.cap)
             except Alpha2Error as exc:
                 raise UsageError(exc) from None
-        items = [(i, emit_graph6(g)) for i, g in enumerate(universe, start=1)]
-        results = _check_lines(checks, items, args.jobs)
-        per_ell: dict[int, dict] = {}
-        for res in results:
-            for row in res["rows"]:
-                agg = per_ell.setdefault(
-                    row.ell, {"checks": 0, "ok": 0, "failed": 0, "failures": []}
-                )
-                agg["checks"] += 1
+        blank = {"n": n, "graphs": len(universe), "checks": 0, "ok": 0, "failed": 0}
+        per_ell = {0: {**blank, "ell": 0, "failures": []}}
+        for line, rows, certs in _check_lines(worker, universe, args.jobs):
+            for row in rows:
+                rec = per_ell.setdefault(row.ell, {**blank, "ell": row.ell, "failures": []})
+                rec["checks"] += 1
                 if row.status == "failed":
-                    agg["failed"] += 1
-                    agg["failures"].append(f"{res['line']}|{row.form}|{row.reason}")
-                    any_failures = True
+                    rec["failed"] += 1
+                    rec["failures"].append(f"{line}|{row.form}|{row.reason}")
                 else:
-                    agg["ok"] += 1
-            all_certs.extend(res["certs"])
-        rows.append((n, 0, len(universe), 0, 0, 0, []))
-        for ell in sorted(per_ell):
-            agg = per_ell[ell]
-            rows.append(
-                (n, ell, len(universe), agg["checks"], agg["ok"], agg["failed"], agg["failures"])
-            )
+                    rec["ok"] += 1
+            all_certs.extend(certs)
+        records += [per_ell[ell] for ell in sorted(per_ell)]
     if args.emit:
         _write_certs(args.emit, all_certs)
     if args.format == "json":
-        payload = [
-            {
-                "n": n,
-                "ell": ell,
-                "graphs": graphs,
-                "checks": n_checks,
-                "ok": ok,
-                "failed": failed,
-                "failures": failures,
-            }
-            for n, ell, graphs, n_checks, ok, failed, failures in rows
-        ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(records, sort_keys=True, indent=2))
     else:
         print("n,ell,graphs,checks,ok,failed,failures")
-        for n, ell, graphs, n_checks, ok, failed, failures in rows:
-            print(f"{n},{ell},{graphs},{n_checks},{ok},{failed},{';'.join(failures)}")
-    print(f"sweep: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
-    return 1 if any_failures else 0
+        for r in records:
+            print(
+                f"{r['n']},{r['ell']},{r['graphs']},{r['checks']},{r['ok']},{r['failed']},"
+                + ";".join(r["failures"])
+            )
+    return 1 if any(r["failed"] for r in records) else 0
 
 
 # -- oracle-check --------------------------------------------------------------
@@ -386,13 +370,12 @@ def parse_target(text: str) -> MinorTarget:
 
 
 def cmd_oracle_check(args) -> int:
-    t0 = time.monotonic()
     try:
         target = parse_target(args.target)
     except (ValueError, Alpha2Error) as exc:
         raise UsageError(f"bad target {args.target!r}: {exc}") from None
-    checks = Checks(forms=("half",) if args.half else ("chi",), oracle=target, cap=args.cap)
-    results = _check_lines(checks, _read_lines(args.input), args.jobs)
+    per_graph = partial(_oracle_graph, target, "half" if args.half else "chi", args.cap)
+    results = _check_lines(partial(_check_line, per_graph), _read_lines(args.input), args.jobs)
     totals = _totals(results)
     # One row per graph.
     records = [
@@ -407,7 +390,6 @@ def cmd_oracle_check(args) -> int:
         print("line,graph6,target,status,reason")
         for r in records:
             print(f"{r['index']},{r['line']},{target_text},{r['status']},{r['reason']}")
-    print(f"oracle-check: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
     return 1 if totals["failed"] else 0
 
 
@@ -512,11 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"{args.command}: {time.monotonic() - t0:.2f}s wall", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

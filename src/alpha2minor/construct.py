@@ -122,8 +122,8 @@ def _singleton_model(clique_vertices, independent_vertices) -> MinorModel:
     )
 
 
-def _step(trace: list[TraceStep], kind: str, g: Graph, **data) -> None:
-    trace.append(TraceStep(kind, {"graph6": emit_graph6(g), "n": g.n, **data}))
+def _step(kind: str, g: Graph, **data) -> TraceStep:
+    return TraceStep(kind, {"graph6": emit_graph6(g), "n": g.n, **data})
 
 
 def _finish(
@@ -201,11 +201,11 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
     n = g.n
     m = ceil_half(n) - ell
     if g.is_complete():
-        _step(trace, "CliqueDirect", g)
+        trace.append(_step("CliqueDirect", g))
         return _singleton_model(range(ell), range(ell, ell + m))
     if n % 2 == 0:
         v = min(range(n), key=lambda x: (g.degree(x), x))
-        _step(trace, "DeleteVertexEven", g, vertex=v)
+        trace.append(_step("DeleteVertexEven", g, vertex=v))
         h, lift = delete_vertices(g, (v,))
         return _relabel_model(_half_model(h, ell, trace), lift)
     fallback = _half_fallback(g)
@@ -220,15 +220,10 @@ def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
                 "guaranteed path packing not found",
                 {"graph6": emit_graph6(g), "ell": ell},
             )
-        outside = [v for v in range(n) if not (packing.vertex_mask() >> v) & 1]
+        outside = list(bits(g.vertex_mask() & ~packing.vertex_mask()))
         chosen = outside[:m]
-        _step(
-            trace,
-            "PackAndContract",
-            g,
-            triples=[list(t) for t in packing.triples],
-            independent=chosen,
-        )
+        triples = [list(t) for t in packing.triples]
+        trace.append(_step("PackAndContract", g, triples=triples, independent=chosen))
         return MinorModel(
             tuple(frozenset(t) for t in packing.triples),
             tuple(frozenset((v,)) for v in chosen),
@@ -278,10 +273,8 @@ def _half_fallback(
             },
         )
     triples = [[lift[v] for v in t] for t in packing.triples]
-    steps: list[TraceStep] = []
-    _step(steps, kind, g, **data, clique=clique, triples=triples)
     sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
-    return steps[0], sets
+    return _step(kind, g, **data, clique=clique, triples=triples), sets
 
 
 def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
@@ -316,14 +309,8 @@ def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
             "leftover set has the wrong size",
             {"graph6": emit_graph6(g), "edge": (u, v), "leftover": leftover},
         )
-    _step(
-        trace,
-        "SmallCaseEdge",
-        g,
-        edge=[u, v],
-        triples=[list(t) for t in packing.triples],
-        independent=leftover,
-    )
+    triples = [list(t) for t in packing.triples]
+    trace.append(_step("SmallCaseEdge", g, edge=[u, v], triples=triples, independent=leftover))
     return MinorModel(
         (frozenset((u, v)),) + tuple(frozenset(t) for t in packing.triples),
         tuple(frozenset((b,)) for b in leftover),
@@ -350,7 +337,7 @@ def construct_chi_minor(g: Graph, ell: int) -> Certificate:
 def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorModel:
     n = g.n
     if g.is_complete():
-        _step(trace, "CliqueDirect", g)
+        trace.append(_step("CliqueDirect", g))
         return _singleton_model(range(ell), range(ell, chi))
     if ell == 1:
         w = max(range(n), key=lambda x: (g.degree(x), -x))
@@ -360,7 +347,7 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
                 "maximum degree below chi - 1",
                 {"graph6": emit_graph6(g), "chi": chi},
             )
-        _step(trace, "MaxDegreeStar", g, center=w, leaves=leaves)
+        trace.append(_step("MaxDegreeStar", g, center=w, leaves=leaves))
         return _singleton_model((w,), leaves)
     if n >= 2 * chi - 1:
         if chi != ceil_half(n):
@@ -368,12 +355,12 @@ def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorMod
                 "chromatic number must equal ceil(n/2) when n >= 2*chi - 1",
                 {"graph6": emit_graph6(g), "chi": chi},
             )
-        _step(trace, "DelegateHalf", g)
+        trace.append(_step("DelegateHalf", g))
         return _half_model(g, ell, trace)
     core, lift, deletions, sides = _chi_decomposition(g)
     trace.extend(deletions)
     if sides is None:
-        _step(trace, "CliqueDirect", core)
+        trace.append(_step("CliqueDirect", core))
         model = _singleton_model(range(ell), range(ell, chi))
     else:
         model = _critical_join_model(core, ell, chi, trace, *sides)
@@ -408,7 +395,7 @@ def _chi_decomposition(
                 "deleting a vertex outside the Gallai-Edmonds set lowered chi",
                 {"graph6": emit_graph6(g), "chi": chi, "vertex": x},
             )
-        _step(deletions, "DeleteNoncriticalVertex", g, vertex=x)
+        deletions.append(_step("DeleteNoncriticalVertex", g, vertex=x))
         lift = tuple(lift[v] for v in hlift)
         g = h
     if g.is_complete():
@@ -438,13 +425,8 @@ def _critical_join_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     for l1 in range(1, ell):
         l2 = ell - l1
         if 2 * l1 <= chi1 and 2 * l2 <= chi2:
-            _step(
-                trace,
-                "JoinDecompose",
-                g,
-                side1=list(side1),
-                side2=list(side2),
-                split=[l1, l2],
+            trace.append(
+                _step("JoinDecompose", g, side1=list(side1), side2=list(side2), split=[l1, l2])
             )
             m1 = _relabel_model(_chi_model(g1, l1, chi1, trace), side1)
             m2 = _relabel_model(_chi_model(g2, l2, chi2, trace), side2)
@@ -465,7 +447,7 @@ def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     else:
         (ck, cverts, _), (other, overts, chi_other) = part2, part1
     c = ck.n
-    _step(trace, "CliqueAbsorb", g, clique_part=list(cverts), absorbed=min(ell, c))
+    trace.append(_step("CliqueAbsorb", g, clique_part=list(cverts), absorbed=min(ell, c)))
     if ell <= c:
         clique_side = cverts[:ell]
         independent = cverts[ell:] + overts[:chi_other]
@@ -511,14 +493,15 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
         halves.append(_relabel_model(sub, [lifti[v] for v in hlift]))
         pairs_g.append((lifti[ui], lifti[vi]))
     (u1, v1), (u2, v2) = pairs_g
-    _step(
-        trace,
-        "ParityGlue",
-        g,
-        side1_pair=[u1, v1],
-        side2_pair=[u2, v2],
-        glued_clique_pair=sorted((u1, u2)),
-        glued_independent_pair=sorted((v1, v2)),
+    trace.append(
+        _step(
+            "ParityGlue",
+            g,
+            side1_pair=[u1, v1],
+            side2_pair=[u2, v2],
+            glued_clique_pair=sorted((u1, u2)),
+            glued_independent_pair=sorted((v1, v2)),
+        )
     )
     clique = (
         halves[0].clique_side + halves[1].clique_side + (frozenset((u1, u2)),)

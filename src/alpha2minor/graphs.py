@@ -85,9 +85,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -158,6 +159,33 @@ class TestSweep:
         assert "5,0,1,0,0,0," in lines  # one 5-vertex graph accepted
         assert "6,0,0,0,0,0," in lines  # the 6-cycle was rejected
 
+    def test_universe_reaches_workers_without_graph6(self, capsys, monkeypatch):
+        # The sweep hands each worker a Graph; no graph6 line is parsed back.
+        code, expected, _ = run(capsys, ["sweep", "1..6"])
+        assert code == 0
+
+        def no_parse(text):
+            raise AssertionError(f"the sweep parsed {text!r}")
+
+        monkeypatch.setattr(cli, "parse_graph6", no_parse)
+        code, out, _ = run(capsys, ["sweep", "1..6"])
+        assert code == 0
+        assert out == expected
+
+    def test_external_universe_parallel_matches_serial(self, capsys, tmp_path):
+        # Graphs parsed from --input cross the worker pool.
+        src = tmp_path / "universe.g6"
+        _, five, _ = run(capsys, ["gen", "5"])
+        _, six, _ = run(capsys, ["gen", "6"])
+        src.write_text(five + six + C6 + "\n")
+        reports = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, ["sweep", "5..6", "--input", str(src), "--jobs", jobs])
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert "6,0,38,0,0,0," in reports[0]  # the 6-cycle was dropped
+
     def test_bad_range(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["sweep", "x..y"])
         assert code == 2
@@ -262,6 +290,16 @@ class TestUsage:
             main(["sweep", "5", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["sweep", "5"], ["oracle-check", "--target", "K1,2"], ["gen", "5"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_wall_time_line(self, capsys, monkeypatch, argv):
+        code, _, err = run(capsys, argv, stdin=C5 + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert re.fullmatch(rf"{argv[0]}: \d+\.\d\ds wall\n", err)
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
         started = []

@@ -98,7 +98,7 @@ class TestComplement:
     def test_complete_gives_edgeless(self):
         for n in range(6):
             co = complement(named("complete", n))
-            assert co.edge_count() == 0
+            assert len(co.edges()) == 0
 
     def test_petersen_complement_has_independence_two(self, petersen_complement):
         # Independent triples in the complement are triangles of the Petersen

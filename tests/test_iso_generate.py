@@ -250,7 +250,7 @@ class TestRandom:
 class TestNamed:
     def test_five_wheel_size(self):
         w5 = named("five_wheel")
-        assert w5.n == 6 and w5.edge_count() == 10
+        assert w5.n == 6 and len(w5.edges()) == 10
 
     def test_clique_join_independent(self):
         g = named("clique_join_independent", 2, 3)
@@ -271,7 +271,7 @@ class TestNamed:
 
     def test_petersen(self, petersen):
         assert petersen.n == 10
-        assert petersen.edge_count() == 15
+        assert len(petersen.edges()) == 15
         assert all(d == 3 for d in petersen.degrees())
         # girth 5: no triangles or 4-cycles
         from oracles import brute_independence_number
