@@ -8,10 +8,15 @@ graph6 lines, parsed in one place, and ``sweep`` hands its workers the
 ``Graph``s of its universe, built in or read from ``--input``.
 
 Reports are byte-deterministic for fixed inputs, flags and seeds: workers
-return plain data, and results are reassembled in input order.  ``main``
-writes the one wall-clock line, ``<command>: N.NNs wall``, to stderr after
-any subcommand that did not fail with a usage error, ``gen`` included.  Exit
-codes: 0 all succeeded, 1 at least one failure, 2 usage or I/O error.
+return plain data, and results are reassembled in input order.  With
+``--emit``, ``verify`` and ``sweep`` start one writer process, which creates
+the certificate files while rows are still being computed; each graph's
+certificates go to it as soon as its worker returns them.  The writer is
+joined before the report is printed, and a failed ``mkdir`` or write ends the
+subcommand with a usage error and no report.  ``main`` writes the one
+wall-clock line, ``<command>: N.NNs wall``, to stderr after any subcommand
+that did not fail with a usage error, ``gen`` included.  Exit codes: 0 all
+succeeded, 1 at least one failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -21,12 +26,14 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
-from multiprocessing import Pool
+from multiprocessing import Pipe, Pool, Process
 from pathlib import Path
 from typing import NamedTuple
 
 from .construct import (
+    cached_graph6,
     ceil_half,
     certificate_to_json,
     construct_chi_minor,
@@ -73,20 +80,67 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
     ]
 
 
-def _cert_filename(line: str, ell: int, form: str) -> str:
-    digest = hashlib.sha256(line.encode()).hexdigest()[:16]
-    return f"{digest}_ell{ell}_{form}.json"
+def _write_certs(conn, parent_end, out: Path) -> None:
+    """The writer process: create each (file name, JSON text) pair received
+    on ``conn`` under ``out`` until ``None`` arrives, then send back the text
+    of the first failed write, or ``None``.  After a failure it writes
+    nothing more and only drains the stream."""
+    # Closing the copy of the parent's end lets the parent's death end the
+    # stream with EOFError.
+    parent_end.close()
+    error = None
+    try:
+        while (certs := conn.recv()) is not None:
+            if error is None:
+                try:
+                    for name, text in certs:
+                        (out / name).write_text(text)
+                except OSError as exc:
+                    error = str(exc)
+    except EOFError:  # the parent died; nobody waits for the answer
+        return
+    conn.send(error)
 
 
-def _write_certs(emit_dir: str, certs: list[tuple[str, str]]) -> None:
-    """Write each (file name, JSON text) pair under ``emit_dir``."""
+@contextmanager
+def _cert_writer(emit_dir: str | None):
+    """Yield a function that takes one graph's (file name, JSON text) pairs.
+
+    With ``emit_dir``, the directory is made first, then one writer process,
+    started like the ``--jobs`` pool's workers, creates the files while the
+    caller goes on computing.  The writer is joined on leaving the block, also
+    when an exception leaves it.  A failed ``mkdir`` raises ``UsageError``
+    with the ``OSError``'s text at once, a failed write once the writer is
+    joined.  Without ``emit_dir`` the function does nothing."""
+    if not emit_dir:
+        yield lambda certs: None
+        return
     out = Path(emit_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in certs:
-            (out / name).write_text(text)
     except OSError as exc:
         raise UsageError(exc) from None
+    conn, writer_end = Pipe()
+    writer = Process(target=_write_certs, args=(writer_end, conn, out))
+    writer.start()
+    writer_end.close()
+
+    def write(certs: list[tuple[str, str]]) -> None:
+        if certs:
+            conn.send(certs)
+
+    try:
+        yield write
+    finally:
+        # End the stream on every path, so that the writer exits.
+        try:
+            conn.send(None)
+            error = conn.recv()
+        finally:
+            conn.close()
+            writer.join()
+    if error is not None:
+        raise UsageError(error)
 
 
 # -- the per-graph workers ----------------------------------------------------
@@ -124,6 +178,9 @@ def _construct_rows(
     chi = chromatic_number_alpha2(g)
     rows = []
     certs = []
+    if want_certs:
+        # Every certificate file name of the line starts with its hash.
+        digest = hashlib.sha256(line.encode()).hexdigest()[:16]
     for form in forms:
         bound = ceil_half(g.n) if form == "half" else chi
         constructor = construct_half_minor if form == "half" else construct_chi_minor
@@ -140,7 +197,7 @@ def _construct_rows(
             if want_certs:
                 # Serialized here, once: the text is smaller than the dict.
                 text = json.dumps(certificate_to_json(cert), sort_keys=True, indent=2)
-                certs.append((_cert_filename(line, ell, form), text + "\n"))
+                certs.append((f"{digest}_ell{ell}_{form}.json", text + "\n"))
     return rows, certs
 
 
@@ -189,7 +246,8 @@ def _sweep_graph(want_certs: bool, g: Graph) -> tuple[str, list[Row], list]:
     graph of the universe, which has alpha <= 2 already.  Returns its graph6
     line, for failure texts and certificate names, with the rows and
     certificates."""
-    line = emit_graph6(g)
+    # Cached, so that the trace steps taken in g itself reuse the text.
+    line = cached_graph6(g)
     rows, certs = _construct_rows(("half", "chi"), None, want_certs, g, line)
     return line, rows + _packing_rows(g), certs
 
@@ -226,15 +284,17 @@ def _packing_rows(g: Graph) -> list[Row]:
     return rows
 
 
-def _check_lines(worker, items: list, jobs: int) -> list:
-    """``worker`` over ``items``, in input order, on at most one worker
-    process per item; ``worker`` and the items must pickle."""
+def _check_lines(worker, items: list, jobs: int):
+    """``worker`` over ``items``, yielded in input order as the results come
+    in, on at most one worker process per item; ``worker`` and the items must
+    pickle."""
     jobs = min(jobs, len(items))
     if jobs <= 1:
-        return [worker(item) for item in items]
+        yield from map(worker, items)
+        return
     chunk = max(1, len(items) // (4 * jobs))
     with Pool(processes=jobs) as pool:
-        return pool.map(worker, items, chunksize=chunk)
+        yield from pool.imap(worker, items, chunksize=chunk)
 
 
 def _graph_status(rows: list[Row]) -> str:
@@ -259,10 +319,13 @@ def _totals(results: list[dict]) -> dict:
 
 def cmd_verify(args) -> int:
     per_graph = partial(_verify_graph, "half" if args.half else "chi", args.ell, bool(args.emit))
-    results = _check_lines(partial(_check_line, per_graph), _read_lines(args.input), args.jobs)
+    items = _read_lines(args.input)
+    results = []
+    with _cert_writer(args.emit) as write:
+        for res in _check_lines(partial(_check_line, per_graph), items, args.jobs):
+            write(res.pop("certs"))
+            results.append(res)
     totals = _totals(results)
-    if args.emit:
-        _write_certs(args.emit, [cert for res in results for cert in res["certs"]])
     all_rows = [(res["index"], res["line"], row) for res in results for row in res["rows"]]
     if args.format == "json":
         payload = {
@@ -316,34 +379,36 @@ def cmd_sweep(args) -> int:
                 f"{args.input} has no graph of order {args.range}"
                 " with independence number at most two"
             )
+    elif ns[0] < 0 or ns[-1] > args.cap:
+        # enumerate_alpha2 rejects such an order before enumerating; asking it
+        # here, before the writer starts, leaves no certificate written.
+        try:
+            enumerate_alpha2(ns[0] if ns[0] < 0 else ns[-1], cap=args.cap)
+        except Alpha2Error as exc:
+            raise UsageError(exc) from None
     worker = partial(_sweep_graph, bool(args.emit))
     # One record per (n, ell), as the JSON report prints it; ell 0 counts the
     # graphs of order n.
     records = []
-    all_certs = []
-    for n in ns:
-        if external is not None:
-            universe = external.get(n, [])
-        else:
-            try:
+    with _cert_writer(args.emit) as write:
+        for n in ns:
+            if external is not None:
+                universe = external.get(n, [])
+            else:
                 universe = enumerate_alpha2(n, cap=args.cap)
-            except Alpha2Error as exc:
-                raise UsageError(exc) from None
-        blank = {"n": n, "graphs": len(universe), "checks": 0, "ok": 0, "failed": 0}
-        per_ell = {0: {**blank, "ell": 0, "failures": []}}
-        for line, rows, certs in _check_lines(worker, universe, args.jobs):
-            for row in rows:
-                rec = per_ell.setdefault(row.ell, {**blank, "ell": row.ell, "failures": []})
-                rec["checks"] += 1
-                if row.status == "failed":
-                    rec["failed"] += 1
-                    rec["failures"].append(f"{line}|{row.form}|{row.reason}")
-                else:
-                    rec["ok"] += 1
-            all_certs.extend(certs)
-        records += [per_ell[ell] for ell in sorted(per_ell)]
-    if args.emit:
-        _write_certs(args.emit, all_certs)
+            blank = {"n": n, "graphs": len(universe), "checks": 0, "ok": 0, "failed": 0}
+            per_ell = {0: {**blank, "ell": 0, "failures": []}}
+            for line, rows, certs in _check_lines(worker, universe, args.jobs):
+                for row in rows:
+                    rec = per_ell.setdefault(row.ell, {**blank, "ell": row.ell, "failures": []})
+                    rec["checks"] += 1
+                    if row.status == "failed":
+                        rec["failed"] += 1
+                        rec["failures"].append(f"{line}|{row.form}|{row.reason}")
+                    else:
+                        rec["ok"] += 1
+                write(certs)
+            records += [per_ell[ell] for ell in sorted(per_ell)]
     if args.format == "json":
         print(json.dumps(records, sort_keys=True, indent=2))
     else:
@@ -375,7 +440,8 @@ def cmd_oracle_check(args) -> int:
     except (ValueError, Alpha2Error) as exc:
         raise UsageError(f"bad target {args.target!r}: {exc}") from None
     per_graph = partial(_oracle_graph, target, "half" if args.half else "chi", args.cap)
-    results = _check_lines(partial(_check_line, per_graph), _read_lines(args.input), args.jobs)
+    items = _read_lines(args.input)
+    results = list(_check_lines(partial(_check_line, per_graph), items, args.jobs))
     totals = _totals(results)
     # One row per graph.
     records = [

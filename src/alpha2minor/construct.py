@@ -84,10 +84,17 @@ class Certificate:
     validated: bool
 
 
+@lru_cache(maxsize=64)
+def cached_graph6(g: Graph) -> str:
+    """``emit_graph6(g)``, cached: the certificates of one graph, one per ell,
+    record the graph6 of the same few graphs."""
+    return emit_graph6(g)
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     mj = model_to_json(cert.target, cert.model)
     return {
-        "input_graph6": emit_graph6(cert.graph),
+        "input_graph6": cached_graph6(cert.graph),
         "n": cert.graph.n,
         "alpha_leq_2": alpha_at_most_two(cert.graph),
         "chi": cert.chi,
@@ -123,7 +130,7 @@ def _singleton_model(clique_vertices, independent_vertices) -> MinorModel:
 
 
 def _step(kind: str, g: Graph, **data) -> TraceStep:
-    return TraceStep(kind, {"graph6": emit_graph6(g), "n": g.n, **data})
+    return TraceStep(kind, {"graph6": cached_graph6(g), "n": g.n, **data})
 
 
 def _finish(

@@ -286,7 +286,9 @@ def is_k_connected(g: Graph, k: int) -> bool:
     n = g.n
     if not is_connected(g):
         return False
-    if g.is_complete():
+    # A connected graph is 1-connected once it has an edge, and a complete
+    # graph is (n - 1)-connected.
+    if k == 1 or g.is_complete():
         return n - 1 >= k
     if n <= k:
         return False

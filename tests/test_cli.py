@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import re
 from collections import Counter
 
@@ -67,6 +68,7 @@ class TestVerify:
         payload = json.loads(files[0].read_text())
         assert payload["validated"] is True
         assert payload["input_graph6"] == C5
+        assert multiprocessing.active_children() == []
 
     def test_half_form_and_single_ell(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "in.g6"
@@ -147,6 +149,15 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "11"])
         assert code == 2
         assert "capped" in err
+
+    def test_cap_checked_before_any_certificate(self, capsys, tmp_path):
+        # The orders below the cap are not checked and certified first.
+        emit = tmp_path / "certs"
+        code, out, err = run(capsys, ["sweep", "1..11", "--emit", str(emit)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: exhaustive enumeration capped at n = 10\n"
+        assert not emit.exists()
 
     def test_external_universe_file(self, capsys, monkeypatch, tmp_path):
         # a graph6 file can replace the built-in enumeration; graphs with
@@ -292,14 +303,26 @@ class TestUsage:
         assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["verify"], ["sweep", "5"], ["oracle-check", "--target", "K1,2"], ["gen", "5"]],
-        ids=lambda argv: argv[0],
+        "argv,files",
+        [
+            pytest.param(["verify"], None, id="verify"),
+            pytest.param(["verify", "--emit"], 1, id="verify --emit"),
+            pytest.param(["sweep", "5"], None, id="sweep"),
+            pytest.param(["sweep", "5", "--emit"], 33, id="sweep --emit"),
+            pytest.param(["oracle-check", "--target", "K1,2"], None, id="oracle-check"),
+            pytest.param(["gen", "5"], None, id="gen"),
+        ],
     )
-    def test_one_wall_time_line(self, capsys, monkeypatch, argv):
+    def test_one_wall_time_line(self, capsys, monkeypatch, tmp_path, argv, files):
+        # With --emit, the line comes after the writer created every file.
+        emit = tmp_path / "certs"
+        if files is not None:
+            argv = [*argv, str(emit)]
         code, _, err = run(capsys, argv, stdin=C5 + "\n", monkeypatch=monkeypatch)
         assert code == 0
         assert re.fullmatch(rf"{argv[0]}: \d+\.\d\ds wall\n", err)
+        if files is not None:
+            assert len(list(emit.iterdir())) == files
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
         started = []
@@ -314,8 +337,8 @@ class TestUsage:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return [fn(item) for item in items]
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
 
         monkeypatch.setattr(cli, "Pool", InlinePool)
         src = tmp_path / "in.g6"
@@ -330,6 +353,89 @@ class TestUsage:
         code2, out2, _ = run(capsys, ["sweep", "5"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _cert_name(line: str, ell: int, form: str) -> str:
+    return f"{hashlib.sha256(line.encode()).hexdigest()[:16]}_ell{ell}_{form}.json"
+
+
+class TestEmit:
+    """``--emit`` hands each graph's certificates to one writer process; it is
+    joined on every path, and a failed mkdir or write is a usage error with
+    the OSError's text and no report."""
+
+    def test_empty_input_still_makes_directory(self, capsys, monkeypatch, tmp_path):
+        emit = tmp_path / "a" / "certs"
+        code, _, _ = run(capsys, ["verify", "--emit", str(emit)], stdin="", monkeypatch=monkeypatch)
+        assert code == 0
+        assert emit.is_dir() and not any(emit.iterdir())
+        assert multiprocessing.active_children() == []
+
+    def test_emit_at_regular_file(self, capsys, tmp_path):
+        src = tmp_path / "in.g6"
+        src.write_text(C5 + "\n")
+        emit = tmp_path / "certs"
+        emit.write_text("")
+        with pytest.raises(OSError) as expected:
+            emit.mkdir(parents=True, exist_ok=True)
+        for argv in (["verify", str(src)], ["sweep", "5"]):
+            code, out, err = run(capsys, [*argv, "--emit", str(emit)])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {expected.value}\n"
+            assert multiprocessing.active_children() == []
+
+    def test_write_fails_mid_stream(self, capsys, tmp_path):
+        # The second graph's first certificate name is taken by a directory:
+        # the first graph's file is written, then the run fails with the
+        # text of the failed write.
+        src = tmp_path / "in.g6"
+        src.write_text(f"{C5}\n{PC}\n")
+        emit = tmp_path / "certs"
+        blocked = emit / _cert_name(PC, 1, "chi")
+        blocked.mkdir(parents=True)
+        with pytest.raises(OSError) as expected:
+            blocked.write_text("")
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, ["verify", str(src), "--emit", str(emit), "--jobs", jobs])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {expected.value}\n"
+            assert (emit / _cert_name(C5, 1, "chi")).is_file()
+            assert multiprocessing.active_children() == []
+
+    def test_worker_exception_joins_writer(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "in.g6"
+        src.write_text(f"{C5}\n{PC}\n")
+        construct_rows = cli._construct_rows
+
+        def fail_on_pc(forms, ells, want_certs, g, line):
+            if line == PC:
+                raise RuntimeError("worker failed")
+            return construct_rows(forms, ells, want_certs, g, line)
+
+        monkeypatch.setattr(cli, "_construct_rows", fail_on_pc)
+        # Pool workers see the patch only when they are forked.
+        fork = multiprocessing.get_start_method() == "fork"
+        for jobs in ("1", "2") if fork else ("1",):
+            emit = tmp_path / f"certs{jobs}"
+            with pytest.raises(RuntimeError, match="worker failed"):
+                main(["verify", str(src), "--emit", str(emit), "--jobs", jobs])
+            assert [path.name for path in emit.iterdir()] == [_cert_name(C5, 1, "chi")]
+            assert multiprocessing.active_children() == []
+
+    def test_parallel_matches_serial(self, capsys, tmp_path):
+        src = tmp_path / "in.g6"
+        _, out, _ = run(capsys, ["gen", "11", "--random", "6", "--seed", "0"])
+        src.write_text(out + PC + "\n")
+        digests = set()
+        for jobs in ("1", "2"):
+            emit = tmp_path / f"certs{jobs}"
+            code, out, _ = run(capsys, ["verify", str(src), "--emit", str(emit), "--jobs", jobs])
+            assert code == 0
+            digests.add(_digest(out, emit))
+            assert multiprocessing.active_children() == []
+        assert len(digests) == 1
 
 
 def _digest(report: str, emit_dir) -> str:

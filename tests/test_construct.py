@@ -31,8 +31,13 @@ from alpha2minor.invariants import co_components, critical_vertices
 from alpha2minor.packing import P3Packing
 
 
-# The per-graph decompositions that every ell of one graph reuses.
-CONSTRUCT_CACHES = (construct._chi_decomposition, construct._half_fallback)
+# The per-graph decompositions and graph6 texts that every ell of one graph
+# reuses.
+CONSTRUCT_CACHES = (
+    construct._chi_decomposition,
+    construct._half_fallback,
+    construct.cached_graph6,
+)
 
 
 def _clear_construct_caches() -> None:
@@ -371,6 +376,23 @@ class TestPerGraphCaches:
             assert Counter(split) == Counter(cores)
             total += len(cores)
         assert total >= 20
+
+    def test_graph6_emitted_once_per_graph(self, patch_construct):
+        # Across every ell of both forms of one join, with each certificate
+        # serialized, each graph that a step or the input records is encoded
+        # once.
+        emitted = []
+        patch_construct("emit_graph6", lambda h: emitted.append(h) or emit_graph6(h))
+        for g in _random_joins():
+            _clear_construct_caches()
+            emitted.clear()
+            for form, bound in (
+                (construct_chi_minor, chromatic_number_alpha2(g)),
+                (construct_half_minor, ceil_half(g.n)),
+            ):
+                for ell in range(1, bound // 2 + 1):
+                    certificate_to_json(form(g, ell))
+            assert g in emitted and max(Counter(emitted).values()) == 1
 
     def test_seagulls_packed_once_per_graph(self, patch_construct):
         # Across every ell of one odd graph, the K_k beside the clique is

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from alpha2minor import (
     Graph,
+    graphs,
     alpha_at_most_two,
     Graph6Error,
     PreconditionError,
@@ -250,6 +251,18 @@ class TestConnectivityKernel:
         _assert_kernel_matches_oracle(named("cycle", n) for n in range(3, 12))
         _assert_kernel_matches_oracle(_tree(n, seed) for n in (2, 7, 11) for seed in range(5))
         _assert_kernel_matches_oracle(random_graph(10, 0.25, seed) for seed in range(40))
+
+    def test_one_connected_is_connected(self, universe, monkeypatch):
+        # k = 1 is the connectivity test, with no flow; K_1 is connected but,
+        # with kappa(K_n) = n - 1, not 1-connected.
+        def no_flow(g):
+            raise AssertionError(f"split digraph built for {emit_graph6(g)}")
+
+        monkeypatch.setattr(graphs, "_split_rows", no_flow)
+        is_k_connected.cache_clear()
+        for n in range(1, 8):
+            for g in universe(n):
+                assert is_k_connected(g, 1) == (is_connected(g) and n >= 2)
 
     @pytest.mark.parametrize(
         "n,steps,kappa",
