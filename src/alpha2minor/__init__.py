@@ -51,7 +51,6 @@ from .packing import (
     exchange_improve,
     find_p3_packing,
     validate_packing,
-    verify_packing_characterization,
 )
 
 __version__ = "0.1.0"

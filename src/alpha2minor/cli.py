@@ -2,10 +2,12 @@
 exhaustive universe, cross-check the constructor against the brute-force
 oracle, and generate test universes.
 
-Each subcommand maps its own per-graph worker over its inputs, in worker
-processes with ``--jobs``: ``verify`` and ``oracle-check`` hand their workers
-graph6 lines, parsed in one place, and ``sweep`` hands its workers the
-``Graph``s of its universe, built in or read from ``--input``.
+Each subcommand maps its own per-graph worker once over its inputs, in one
+pool of worker processes with ``--jobs``; every worker returns the graph's
+rows and certificates.  ``verify`` and ``oracle-check`` hand their workers
+graph6 lines, parsed in one place.  ``sweep`` first builds its whole universe,
+every order of the range, built in or read from ``--input``, and then hands
+its worker the ``Graph``s.
 
 Reports are byte-deterministic for fixed inputs, flags and seeds: workers
 return plain data, and results are reassembled in input order.  With
@@ -26,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from multiprocessing import Pipe, Pool, Process
@@ -41,13 +44,8 @@ from .construct import (
 )
 from .errors import Alpha2Error, OracleCapExceeded
 from .generate import EXHAUSTIVE_CAP_DEFAULT, enumerate_alpha2, random_alpha2
-from .graphs import Graph, emit_graph6, is_k_connected, parse_graph6
-from .invariants import (
-    alpha_at_most_two,
-    chromatic_number_alpha2,
-    clique_number,
-    is_five_wheel,
-)
+from .graphs import Graph, emit_graph6, parse_graph6
+from .invariants import alpha_at_most_two, chromatic_number_alpha2, clique_number
 from .minors import (
     CliqueJoinIndependent,
     CompleteGraph,
@@ -55,11 +53,7 @@ from .minors import (
     MinorTarget,
     find_minor_bruteforce,
 )
-from .packing import (
-    check_packing_conditions,
-    find_p3_packing,
-    verify_packing_characterization,
-)
+from .packing import check_packing_conditions, find_p3_packing, validate_packing
 
 
 class UsageError(Exception):
@@ -71,7 +65,7 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
     """Non-blank input lines with their 1-based line numbers."""
     try:
         text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(exc) from None
     return [
         (number, line.strip())
@@ -155,17 +149,15 @@ class Row(NamedTuple):
     reason: str = ""
 
 
-def _check_line(per_graph, item: tuple[int, str]) -> dict:
-    """Parse one graph6 line and run ``per_graph(g, line)``, which returns
-    the graph's rows and certificates.  Returns the line with both."""
-    index, line = item
+def _check_line(per_graph, item: tuple[int, str]) -> tuple[list[Row], list]:
+    """Parse one (line number, graph6 line) item and return
+    ``per_graph(g, line)``: the graph's rows and certificates."""
+    _, line = item
     try:
         g = parse_graph6(line)
     except Alpha2Error as exc:
-        rows, certs = [Row(0, "-", "failed", f"malformed graph6: {exc}")], []
-    else:
-        rows, certs = per_graph(g, line)
-    return {"index": index, "line": line, "rows": rows, "certs": certs}
+        return [Row(0, "-", "failed", f"malformed graph6: {exc}")], []
+    return per_graph(g, line)
 
 
 def _construct_rows(
@@ -241,43 +233,46 @@ def _oracle_graph(
     return [row], []
 
 
-def _sweep_graph(want_certs: bool, g: Graph) -> tuple[str, list[Row], list]:
+def _sweep_graph(want_certs: bool, g: Graph) -> tuple[list[Row], list]:
     """``sweep``: both forms' rows at every ell, then the packing rows, of a
-    graph of the universe, which has alpha <= 2 already.  Returns its graph6
-    line, for failure texts and certificate names, with the rows and
+    graph of the universe, which has alpha <= 2 already; and the
     certificates."""
     # Cached, so that the trace steps taken in g itself reuse the text.
     line = cached_graph6(g)
     rows, certs = _construct_rows(("half", "chi"), None, want_certs, g, line)
-    return line, rows + _packing_rows(g), certs
+    return rows + _packing_rows(g), certs
 
 
 def _packing_rows(g: Graph) -> list[Row]:
+    """Per ell, the exhaustive packing search against the four conditions, and
+    where its hypotheses hold, the packing guarantee; each asked once."""
     n = g.n
+    asked = {
+        ell: (check_packing_conditions(g, ell), find_p3_packing(g, ell))
+        for ell in range(1, (n + 2) // 3 + 1)
+    }
     rows = []
-    for ell in range(1, (n + 2) // 3 + 1):
-        if ell == 2 and is_five_wheel(g):
+    for ell, (report, packing) in asked.items():
+        if ell == 2 and report.five_wheel_exception:
             # The one excluded case: all four conditions hold, yet no packing.
-            report = check_packing_conditions(g, 2)
-            exceptional = report.all_hold and find_p3_packing(g, 2) is None
+            exceptional = report.all_hold and packing is None
             status = "exception" if exceptional else "failed"
             rows.append(Row(ell, "packing_iff", status, "five-wheel exclusion"))
             continue
-        try:
-            ok = verify_packing_characterization(g, ell)
-            rows.append(Row(ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
-        except Alpha2Error as exc:
-            rows.append(Row(ell, "packing_iff", "failed", str(exc)))
+        valid = packing is not None and not validate_packing(g, packing)
+        ok = valid if report.all_hold else packing is None
+        rows.append(Row(ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
     # The hypotheses do not depend on ell, and every ell <= (n - 1) // 4 also
     # meets ell <= (n + 3) // 4; n >= 5 is where the ell range is nonempty.
+    # Both (n + 2) // 4 and (n - 1) // 4 are at most (n + 2) // 3.
     if (
         n % 2 == 1
         and n >= 5
-        and is_k_connected(g, (n + 2) // 4)
+        and asked[(n + 2) // 4][0].connectivity_ok
         and clique_number(g) < ceil_half(n)
     ):
         for ell in range(1, (n - 1) // 4 + 1):
-            found = find_p3_packing(g, ell) is not None
+            found = asked[ell][1] is not None
             rows.append(
                 Row(ell, "packing_guarantee", "ok" if found else "failed", "" if found else "no packing")
             )
@@ -306,10 +301,10 @@ def _graph_status(rows: list[Row]) -> str:
     return "ok" if "ok" in statuses else "skipped"
 
 
-def _totals(results: list[dict]) -> dict:
-    totals = {"processed": len(results), "succeeded": 0, "failed": 0, "skipped": 0}
-    for res in results:
-        status = _graph_status(res["rows"])
+def _totals(rows_per_graph: list[list[Row]]) -> dict:
+    totals = {"processed": len(rows_per_graph), "succeeded": 0, "failed": 0, "skipped": 0}
+    for rows in rows_per_graph:
+        status = _graph_status(rows)
         totals["succeeded" if status == "ok" else status] += 1
     return totals
 
@@ -320,13 +315,14 @@ def _totals(results: list[dict]) -> dict:
 def cmd_verify(args) -> int:
     per_graph = partial(_verify_graph, "half" if args.half else "chi", args.ell, bool(args.emit))
     items = _read_lines(args.input)
-    results = []
+    rows_per_graph = []
     with _cert_writer(args.emit) as write:
-        for res in _check_lines(partial(_check_line, per_graph), items, args.jobs):
-            write(res.pop("certs"))
-            results.append(res)
-    totals = _totals(results)
-    all_rows = [(res["index"], res["line"], row) for res in results for row in res["rows"]]
+        for rows, certs in _check_lines(partial(_check_line, per_graph), items, args.jobs):
+            write(certs)
+            rows_per_graph.append(rows)
+    totals = _totals(rows_per_graph)
+    pairs = zip(items, rows_per_graph, strict=True)
+    all_rows = [(i, line, row) for (i, line), rows in pairs for row in rows]
     if args.format == "json":
         payload = {
             "totals": totals,
@@ -363,52 +359,58 @@ def cmd_sweep(args) -> int:
         ns = []
     if not ns:
         raise UsageError(f"bad range {args.range!r}")
-    external: dict[int, list] | None = None
+    # The whole universe is built before the writer starts, so that a usage
+    # error leaves no certificate written.
     if args.input:
         # alternative exhaustive source: a graph6 file, e.g. from another tool
-        external = {}
+        universe = []
         for number, line in _read_lines(args.input):
             try:
                 g = parse_graph6(line)
             except Alpha2Error as exc:
                 raise UsageError(f"line {number}: {exc}") from None
-            if alpha_at_most_two(g):
-                external.setdefault(g.n, []).append(g)
-        if not any(n in external for n in ns):
+            if g.n in ns and alpha_at_most_two(g):
+                universe.append(g)
+        if not universe:
             raise UsageError(
                 f"{args.input} has no graph of order {args.range}"
                 " with independence number at most two"
             )
-    elif ns[0] < 0 or ns[-1] > args.cap:
-        # enumerate_alpha2 rejects such an order before enumerating; asking it
-        # here, before the writer starts, leaves no certificate written.
+        universe.sort(key=lambda g: g.n)
+    else:
+        # The top order first: it builds every lower level, and an order above
+        # the cap fails before anything is enumerated.  A negative order fails
+        # at once, so it goes first.
+        order = ns if ns[0] < 0 else reversed(ns)
         try:
-            enumerate_alpha2(ns[0] if ns[0] < 0 else ns[-1], cap=args.cap)
+            levels = {n: enumerate_alpha2(n, cap=args.cap) for n in order}
         except Alpha2Error as exc:
             raise UsageError(exc) from None
-    worker = partial(_sweep_graph, bool(args.emit))
+        universe = [g for n in ns for g in levels[n]]
+    graphs = Counter(g.n for g in universe)
     # One record per (n, ell), as the JSON report prints it; ell 0 counts the
     # graphs of order n.
-    records = []
+    records = {}
+
+    def record(n: int, ell: int) -> dict:
+        blank = {"n": n, "ell": ell, "graphs": graphs[n], "checks": 0, "ok": 0, "failed": 0}
+        return records.setdefault((n, ell), {**blank, "failures": []})
+
+    for n in ns:
+        record(n, 0)
+    worker = partial(_sweep_graph, bool(args.emit))
     with _cert_writer(args.emit) as write:
-        for n in ns:
-            if external is not None:
-                universe = external.get(n, [])
-            else:
-                universe = enumerate_alpha2(n, cap=args.cap)
-            blank = {"n": n, "graphs": len(universe), "checks": 0, "ok": 0, "failed": 0}
-            per_ell = {0: {**blank, "ell": 0, "failures": []}}
-            for line, rows, certs in _check_lines(worker, universe, args.jobs):
-                for row in rows:
-                    rec = per_ell.setdefault(row.ell, {**blank, "ell": row.ell, "failures": []})
-                    rec["checks"] += 1
-                    if row.status == "failed":
-                        rec["failed"] += 1
-                        rec["failures"].append(f"{line}|{row.form}|{row.reason}")
-                    else:
-                        rec["ok"] += 1
-                write(certs)
-            records += [per_ell[ell] for ell in sorted(per_ell)]
+        for g, (rows, certs) in zip(universe, _check_lines(worker, universe, args.jobs), strict=True):
+            for row in rows:
+                rec = record(g.n, row.ell)
+                rec["checks"] += 1
+                if row.status == "failed":
+                    rec["failed"] += 1
+                    rec["failures"].append(f"{emit_graph6(g)}|{row.form}|{row.reason}")
+                else:
+                    rec["ok"] += 1
+            write(certs)
+    records = [records[key] for key in sorted(records)]
     if args.format == "json":
         print(json.dumps(records, sort_keys=True, indent=2))
     else:
@@ -441,13 +443,15 @@ def cmd_oracle_check(args) -> int:
         raise UsageError(f"bad target {args.target!r}: {exc}") from None
     per_graph = partial(_oracle_graph, target, "half" if args.half else "chi", args.cap)
     items = _read_lines(args.input)
-    results = list(_check_lines(partial(_check_line, per_graph), items, args.jobs))
-    totals = _totals(results)
+    rows_per_graph = [
+        rows for rows, _ in _check_lines(partial(_check_line, per_graph), items, args.jobs)
+    ]
+    totals = _totals(rows_per_graph)
     # One row per graph.
     records = [
-        {"index": res["index"], "line": res["line"], "status": row.status, "reason": row.reason}
-        for res in results
-        for row in res["rows"]
+        {"index": i, "line": line, "status": row.status, "reason": row.reason}
+        for (i, line), rows in zip(items, rows_per_graph, strict=True)
+        for row in rows
     ]
     if args.format == "json":
         print(json.dumps({"totals": totals, "results": records}, sort_keys=True, indent=2))

@@ -129,7 +129,15 @@ def _singleton_model(clique_vertices, independent_vertices) -> MinorModel:
     )
 
 
+def _frozen(value):
+    """``value`` with every list in it, nested ones too, made a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 def _step(kind: str, g: Graph, **data) -> TraceStep:
+    # No lists: cached steps are shared by certificates, and
+    # certificate_to_json copies the data shallowly.
+    data = {key: _frozen(value) for key, value in data.items()}
     return TraceStep(kind, {"graph6": cached_graph6(g), "n": g.n, **data})
 
 
@@ -433,7 +441,7 @@ def _critical_join_model(g, ell, chi, trace, part1, part2) -> MinorModel:
         l2 = ell - l1
         if 2 * l1 <= chi1 and 2 * l2 <= chi2:
             trace.append(
-                _step("JoinDecompose", g, side1=list(side1), side2=list(side2), split=[l1, l2])
+                _step("JoinDecompose", g, side1=side1, side2=side2, split=(l1, l2))
             )
             m1 = _relabel_model(_chi_model(g1, l1, chi1, trace), side1)
             m2 = _relabel_model(_chi_model(g2, l2, chi2, trace), side2)
@@ -454,7 +462,7 @@ def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     else:
         (ck, cverts, _), (other, overts, chi_other) = part2, part1
     c = ck.n
-    trace.append(_step("CliqueAbsorb", g, clique_part=list(cverts), absorbed=min(ell, c)))
+    trace.append(_step("CliqueAbsorb", g, clique_part=cverts, absorbed=min(ell, c)))
     if ell <= c:
         clique_side = cverts[:ell]
         independent = cverts[ell:] + overts[:chi_other]

@@ -9,7 +9,6 @@ are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import Graph6Error, PreconditionError
@@ -271,16 +270,9 @@ def _local_connectivity(g: Graph, split: list[int], s: int, t: int, limit: int) 
     return flow
 
 
-@lru_cache(maxsize=64)
 def is_k_connected(g: Graph, k: int) -> bool:
     """Decide kappa(G) >= k, stopping each pair at k paths and the whole scan
-    at the first pair with fewer.
-
-    Cached per graph and k.  The constructors ask once per graph, inside the
-    half form's cached fallback test; the only repeat caller is the sweep's
-    packing-guarantee test, which asks again what the packing conditions of
-    the same graph asked.
-    """
+    at the first pair with fewer."""
     if k <= 0:
         return True
     n = g.n

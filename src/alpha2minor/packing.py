@@ -167,21 +167,6 @@ def check_packing_conditions(g: Graph, ell: int) -> PackingConditionReport:
     )
 
 
-def verify_packing_characterization(g: Graph, ell: int) -> bool:
-    """True iff an exhaustive packing search and the four-condition test agree.
-
-    The characterization excludes one case by hypothesis: packing size two on
-    the five-wheel (all four conditions hold there, yet no packing exists).
-    """
-    if ell == 2 and is_five_wheel(g):
-        raise PreconditionError("the five-wheel at size two is excluded")
-    report = check_packing_conditions(g, ell)
-    packing = find_p3_packing(g, ell)
-    if packing is not None and validate_packing(g, packing):
-        return False
-    return (packing is not None) == report.all_hold
-
-
 def exchange_improve(
     g: Graph, edge: tuple[int, int], packing: P3Packing
 ) -> P3Packing:

@@ -6,7 +6,9 @@ search, plain backtracking), so that agreement is meaningful evidence; the
 pairwise isomorphism matcher (colour refinement, then backtracking) shares
 nothing with the package's canonical labelling.  The two deletion scans for
 chromatic criticality use the package's chromatic number, one deleted
-subgraph at a time, in place of the Gallai-Edmonds set.
+subgraph at a time, in place of the Gallai-Edmonds set.  The packing
+characterization check compares two package routines, the exhaustive search
+and the four conditions, with each other.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from itertools import combinations, permutations
 
 from alpha2minor.errors import PreconditionError
 from alpha2minor.graphs import Graph, bits, delete_vertices, mask_of
-from alpha2minor.invariants import chromatic_number_alpha2
+from alpha2minor.invariants import chromatic_number_alpha2, is_five_wheel
+from alpha2minor.packing import check_packing_conditions, find_p3_packing, validate_packing
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -281,6 +284,21 @@ def _p3_orders(g: Graph, trio) -> list[tuple[int, int, int]]:
     if not g.has_edge(a, c):
         return [(a, b, c)]
     return [(b, a, c)]
+
+
+def verify_packing_characterization(g: Graph, ell: int) -> bool:
+    """True iff an exhaustive packing search and the four-condition test agree.
+
+    The characterization excludes one case by hypothesis: packing size two on
+    the five-wheel (all four conditions hold there, yet no packing exists).
+    """
+    if ell == 2 and is_five_wheel(g):
+        raise PreconditionError("the five-wheel at size two is excluded")
+    report = check_packing_conditions(g, ell)
+    packing = find_p3_packing(g, ell)
+    if packing is not None and validate_packing(g, packing):
+        return False
+    return (packing is not None) == report.all_hold
 
 
 def naive_model_check(g: Graph, ell: int, m: int, clique_side, independent_side) -> bool:

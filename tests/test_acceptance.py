@@ -39,9 +39,8 @@ from alpha2minor.packing import (
     P3Packing,
     check_packing_conditions,
     uncovered_outside_neighborhood,
-    verify_packing_characterization,
 )
-from oracles import brute_chromatic_number
+from oracles import brute_chromatic_number, verify_packing_characterization
 
 
 def report(criterion: str, detail: str) -> None:

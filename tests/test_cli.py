@@ -197,6 +197,54 @@ class TestSweep:
         assert reports[0] == reports[1]
         assert "6,0,38,0,0,0," in reports[0]  # the 6-cycle was dropped
 
+    def test_one_pool_for_the_whole_range(self, capsys, monkeypatch):
+        made = []
+        pool = cli.Pool
+        monkeypatch.setattr(cli, "Pool", lambda **kwargs: made.append(kwargs) or pool(**kwargs))
+        code, out, _ = run(capsys, ["sweep", "1..6", "--jobs", "2"])
+        assert code == 0
+        assert made == [{"processes": 2}]
+        assert out == run(capsys, ["sweep", "1..6"])[1]
+
+    def test_each_packing_question_asked_once(self, capsys, monkeypatch, universe):
+        # Per (graph, ell), the iff row and the guarantee rows share one
+        # packing search and one test of the four conditions.
+        asked = {}
+        for name in ("find_p3_packing", "check_packing_conditions"):
+            counts = asked[name] = Counter()
+
+            def counted(g, ell, original=getattr(cli, name), counts=counts):
+                counts[g, ell] += 1
+                return original(g, ell)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run(capsys, ["sweep", "1..8"])
+        assert code == 0
+        once = Counter(
+            (g, ell) for n in range(1, 9) for g in universe(n) for ell in range(1, (n + 2) // 3 + 1)
+        )
+        assert asked == {"find_p3_packing": once, "check_packing_conditions": once}
+
+    def test_top_order_enumerated_first(self, capsys, monkeypatch):
+        # It builds every lower order, and an order above the cap fails before
+        # any other is enumerated; a negative order is asked for first.
+        asked = []
+        enumerate_ = cli.enumerate_alpha2
+        monkeypatch.setattr(
+            cli, "enumerate_alpha2", lambda n, cap: asked.append(n) or enumerate_(n, cap=cap)
+        )
+        code, _, _ = run(capsys, ["sweep", "1..11"])
+        assert code == 2
+        assert asked == [11]
+        asked.clear()
+        code, _, _ = run(capsys, ["sweep", "1..6"])
+        assert code == 0
+        assert asked[0] == 6 and sorted(asked) == [1, 2, 3, 4, 5, 6]
+        asked.clear()
+        code, _, err = run(capsys, ["sweep", "--", "-1..9"])
+        assert code == 2 and "nonnegative" in err
+        assert asked == [-1]
+
     def test_bad_range(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["sweep", "x..y"])
         assert code == 2
@@ -323,6 +371,19 @@ class TestUsage:
         assert re.fullmatch(rf"{argv[0]}: \d+\.\d\ds wall\n", err)
         if files is not None:
             assert len(list(emit.iterdir())) == files
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["oracle-check", "--target", "K3"], ["sweep", "4", "--input"]],
+        ids=["verify", "oracle-check", "sweep --input"],
+    )
+    def test_undecodable_input_is_usage_error(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(b"\xff\xfeDhc\n")
+        code, out, err = run(capsys, [*argv, str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
         started = []

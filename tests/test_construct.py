@@ -1,5 +1,6 @@
 import ast
 import io
+import json
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -246,7 +247,6 @@ class TestHalfForm:
         built = []
         split_rows = graphs._split_rows
         monkeypatch.setattr(graphs, "_split_rows", lambda h: built.append(h) or split_rows(h))
-        graphs.is_k_connected.cache_clear()
         _clear_construct_caches()
         for ell in range(1, ceil_half(g.n) // 2 + 1):
             construct_half_minor(g, ell)
@@ -475,6 +475,28 @@ class TestCertificates:
         assert sides["clique_side"] == sorted(sides["clique_side"])
         assert sides["independent_side"] == sorted(sides["independent_side"])
         assert all(s == sorted(s) for s in sides["clique_side"])
+
+    def test_json_cannot_change_shared_steps(self):
+        # The half form's fallback step is cached and shared by every ell's
+        # certificate; a caller editing one certificate's JSON must not
+        # change another's.
+        g = random_alpha2(21, 0)
+        # Text, since a dict taken now would share the step's lists.
+        expected = json.dumps(certificate_to_json(construct_half_minor(g, 2)))
+
+        def append_to_lists(value):
+            if isinstance(value, list):
+                value.append(999)
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    append_to_lists(item)
+
+        first = certificate_to_json(construct_half_minor(g, 1))
+        assert first["trace"][-1]["kind"] == "FallbackConnectivity"
+        for step in first["trace"]:
+            for value in step.values():
+                append_to_lists(value)
+        assert json.dumps(certificate_to_json(construct_half_minor(g, 2))) == expected
 
     def test_oracle_confirms_spot_targets(self, c5, petersen_complement):
         for g, ell in ((c5, 1), (petersen_complement, 2)):

@@ -259,7 +259,6 @@ class TestConnectivityKernel:
             raise AssertionError(f"split digraph built for {emit_graph6(g)}")
 
         monkeypatch.setattr(graphs, "_split_rows", no_flow)
-        is_k_connected.cache_clear()
         for n in range(1, 8):
             for g in universe(n):
                 assert is_k_connected(g, 1) == (is_connected(g) and n >= 2)

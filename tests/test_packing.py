@@ -8,12 +8,15 @@ from alpha2minor import (
     named,
     random_alpha2,
     validate_packing,
-    verify_packing_characterization,
 )
 from alpha2minor.graphs import Graph, parse_graph6
 from alpha2minor.invariants import minimum_clique_capacity
 from alpha2minor.packing import P3Packing, uncovered_outside_neighborhood
-from oracles import brute_min_doubled_capacity, brute_packing_exists
+from oracles import (
+    brute_min_doubled_capacity,
+    brute_packing_exists,
+    verify_packing_characterization,
+)
 
 
 class TestFindPacking:
