@@ -13,7 +13,9 @@ Reports are byte-deterministic for fixed inputs, flags and seeds: workers
 return plain data, and results are reassembled in input order.  With
 ``--emit``, ``verify`` and ``sweep`` start one writer process, which creates
 the certificate files while rows are still being computed; each graph's
-certificates go to it as soon as its worker returns them.  The writer is
+certificates go to it as soon as its worker returns them.  The writer names
+each file from the sha256 of its graph6 line, and is the only process that
+imports ``hashlib``, so no other process loads OpenSSL.  The writer is
 joined before the report is printed, and a failed ``mkdir`` or write ends the
 subcommand with a usage error and no report.  ``main`` writes the one
 wall-clock line, ``<command>: N.NNs wall``, to stderr after any subcommand
@@ -24,7 +26,6 @@ succeeded, 1 at least one failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -63,10 +64,14 @@ class UsageError(Exception):
 
 def _read_lines(path: str | None) -> list[tuple[int, str]]:
     """Non-blank input lines with their 1-based line numbers."""
+    stdin = path is None or path == "-"
     try:
-        text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = sys.stdin.read() if stdin else Path(path).read_text()
+    except OSError as exc:
         raise UsageError(exc) from None
+    except UnicodeDecodeError as exc:
+        # Unlike an OSError's text, a decoding error's names no file.
+        raise UsageError(f"{'<stdin>' if stdin else path}: {exc}") from None
     return [
         (number, line.strip())
         for number, line in enumerate(text.splitlines(), start=1)
@@ -75,10 +80,16 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
 
 
 def _write_certs(conn, parent_end, out: Path) -> None:
-    """The writer process: create each (file name, JSON text) pair received
-    on ``conn`` under ``out`` until ``None`` arrives, then send back the text
-    of the first failed write, or ``None``.  After a failure it writes
-    nothing more and only drains the stream."""
+    """The writer process: for each ((graph6 line, ell, form), JSON text)
+    pair received on ``conn``, create ``<hash>_ell<ell>_<form>.json`` under
+    ``out``, where the hash is the first 16 hex digits of the line's sha256,
+    until ``None`` arrives; then send back the text of the first failed
+    write, or ``None``.  After a failure it writes nothing more and only
+    drains the stream."""
+    # Imported here: only this process names files, and OpenSSL behind
+    # hashlib costs every other process memory.
+    from hashlib import sha256
+
     # Closing the copy of the parent's end lets the parent's death end the
     # stream with EOFError.
     parent_end.close()
@@ -87,8 +98,9 @@ def _write_certs(conn, parent_end, out: Path) -> None:
         while (certs := conn.recv()) is not None:
             if error is None:
                 try:
-                    for name, text in certs:
-                        (out / name).write_text(text)
+                    for (line, ell, form), text in certs:
+                        digest = sha256(line.encode()).hexdigest()[:16]
+                        (out / f"{digest}_ell{ell}_{form}.json").write_text(text)
                 except OSError as exc:
                     error = str(exc)
     except EOFError:  # the parent died; nobody waits for the answer
@@ -98,7 +110,8 @@ def _write_certs(conn, parent_end, out: Path) -> None:
 
 @contextmanager
 def _cert_writer(emit_dir: str | None):
-    """Yield a function that takes one graph's (file name, JSON text) pairs.
+    """Yield a function that takes one graph's ((graph6 line, ell, form),
+    JSON text) pairs.
 
     With ``emit_dir``, the directory is made first, then one writer process,
     started like the ``--jobs`` pool's workers, creates the files while the
@@ -119,7 +132,7 @@ def _cert_writer(emit_dir: str | None):
     writer.start()
     writer_end.close()
 
-    def write(certs: list[tuple[str, str]]) -> None:
+    def write(certs: list[tuple[tuple[str, int, str], str]]) -> None:
         if certs:
             conn.send(certs)
 
@@ -164,15 +177,13 @@ def _construct_rows(
     forms: tuple[str, ...], ells: tuple[int, ...] | None, want_certs: bool, g: Graph, line: str
 ) -> tuple[list[Row], list]:
     """One row per (form, ell), every admissible ell when ``ells`` is None;
-    a constructor's error becomes a failed row.  With ``want_certs``, also the
-    (file name, JSON text) of each ok row's certificate."""
+    a constructor's error becomes a failed row.  With ``want_certs``, also
+    ((line, ell, form), JSON text) for each ok row's certificate; the writer
+    names its file."""
     # Also for the half form: its certificates record chi too.
     chi = chromatic_number_alpha2(g)
     rows = []
     certs = []
-    if want_certs:
-        # Every certificate file name of the line starts with its hash.
-        digest = hashlib.sha256(line.encode()).hexdigest()[:16]
     for form in forms:
         bound = ceil_half(g.n) if form == "half" else chi
         constructor = construct_half_minor if form == "half" else construct_chi_minor
@@ -189,7 +200,7 @@ def _construct_rows(
             if want_certs:
                 # Serialized here, once: the text is smaller than the dict.
                 text = json.dumps(certificate_to_json(cert), sort_keys=True, indent=2)
-                certs.append((f"{digest}_ell{ell}_{form}.json", text + "\n"))
+                certs.append(((line, ell, form), text + "\n"))
     return rows, certs
 
 

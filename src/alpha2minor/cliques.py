@@ -7,7 +7,7 @@ from functools import lru_cache
 from .graphs import Graph, bits
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=256)
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
     """Size of a maximum clique plus one witness.
 

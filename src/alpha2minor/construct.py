@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, PreconditionError
 from .graphs import (
@@ -67,10 +68,11 @@ TRACE_KINDS = (
 @dataclass(frozen=True)
 class TraceStep:
     """One constructor decision; ``data`` refers to vertices of the graph the
-    step was taken in (recorded as ``graph6``)."""
+    step was taken in (recorded as ``graph6``).  ``data`` is read-only, with
+    tuples for lists, since cached steps are shared by certificates."""
 
     kind: str
-    data: dict
+    data: Mapping[str, object]
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,10 @@ def _frozen(value):
 
 
 def _step(kind: str, g: Graph, **data) -> TraceStep:
-    # No lists: cached steps are shared by certificates, and
-    # certificate_to_json copies the data shallowly.
+    # Read-only and without lists: cached steps are shared by certificates,
+    # and certificate_to_json copies the data shallowly.
     data = {key: _frozen(value) for key, value in data.items()}
-    return TraceStep(kind, {"graph6": cached_graph6(g), "n": g.n, **data})
+    return TraceStep(kind, MappingProxyType({"graph6": cached_graph6(g), "n": g.n, **data}))
 
 
 def _finish(

@@ -10,6 +10,12 @@ chi(G - x) = chi(G) exactly when every maximum matching of the complement
 covers x, that is, when x lies outside the complement's Gallai-Edmonds set D
 (Lovasz-Plummer, *Matching Theory*, ch. 3), and chi(G - x) = chi(G) - 1 for
 every x in D.  One more blossom search over the cached matching finds D.
+
+The alpha <= 2 test, the complement matching and ``cliques.max_clique`` are
+cached for the 256 graphs asked last.  Nearly every repeat question comes
+from the graph being checked and the subgraphs its constructions derive, so
+that holds one graph's working set, and a sweep's memory does not grow with
+its universe.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .graphs import (
 from .matching import gallai_edmonds_d, maximum_matching
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=256)
 def alpha_at_most_two(g: Graph) -> bool:
     """True iff the graph has no independent set of three vertices."""
     co = complement(g)
@@ -40,7 +46,7 @@ def alpha_at_most_two(g: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=256)
 def complement_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     """A maximum matching of the complement, computed once per graph; its
     pairs are the two-vertex color classes of a minimum coloring.  Valid only

@@ -1,14 +1,27 @@
 import hashlib
+import io
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from alpha2minor import cli, emit_graph6, enumerate_alpha2, named, random_alpha2
+from alpha2minor import (
+    chromatic_number_alpha2,
+    cli,
+    emit_graph6,
+    enumerate_alpha2,
+    named,
+    parse_graph6,
+    random_alpha2,
+)
 from alpha2minor.cli import main, parse_target
-from alpha2minor.construct import TRACE_KINDS
+from alpha2minor.construct import TRACE_KINDS, ceil_half
 from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
 from conftest import co_circulant
 
@@ -19,9 +32,6 @@ PC = emit_graph6(named("petersen_complement"))
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     out, err = capsys.readouterr()
@@ -377,13 +387,18 @@ class TestUsage:
         [["verify"], ["oracle-check", "--target", "K3"], ["sweep", "4", "--input"]],
         ids=["verify", "oracle-check", "sweep --input"],
     )
-    def test_undecodable_input_is_usage_error(self, capsys, tmp_path, argv):
+    def test_undecodable_input_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # The error names the file, or <stdin>, as an OSError's text does.
         bad = tmp_path / "bad.g6"
         bad.write_bytes(b"\xff\xfeDhc\n")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
         code, out, err = run(capsys, [*argv, str(bad)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert (code, out, err) == (2, "", f"error: {bad}: {reason}\n")
+        if argv[0] != "sweep":
+            stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (2, "", f"error: <stdin>: {reason}\n")
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
         started = []
@@ -418,6 +433,29 @@ class TestUsage:
 
 def _cert_name(line: str, ell: int, form: str) -> str:
     return f"{hashlib.sha256(line.encode()).hexdigest()[:16]}_ell{ell}_{form}.json"
+
+
+def _cert_names(lines, forms: tuple[str, ...]) -> list[str]:
+    """The sorted file names of the certificates at every ell of each form,
+    for graphs on which every construction succeeds."""
+    names = []
+    for line in lines:
+        g = parse_graph6(line)
+        for form in forms:
+            bound = ceil_half(g.n) if form == "half" else chromatic_number_alpha2(g)
+            names += [_cert_name(line, ell, form) for ell in range(1, bound // 2 + 1)]
+    return sorted(names)
+
+
+# Runs the CLI calls given as JSON in a fresh interpreter, then reports their
+# exit codes and whether OpenSSL's hashlib backend was loaded.
+_OPENSSL_PROBE = """
+import contextlib, io, json, sys
+from alpha2minor.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "openssl": "_hashlib" in sys.modules}))
+"""
 
 
 class TestEmit:
@@ -484,6 +522,33 @@ class TestEmit:
                 main(["verify", str(src), "--emit", str(emit), "--jobs", jobs])
             assert [path.name for path in emit.iterdir()] == [_cert_name(C5, 1, "chi")]
             assert multiprocessing.active_children() == []
+
+    def test_only_the_writer_loads_openssl(self, tmp_path):
+        # The writer names the files from the lines' sha256, so the main
+        # process never imports hashlib, and the names are unchanged.  A fresh
+        # interpreter, since this one has imported hashlib.
+        src = tmp_path / "in.g6"
+        src.write_text(f"{C5}\n{PC}\n")
+        runs = []
+        for jobs in ("1", "2"):
+            runs.append(["sweep", "1..6", "--emit", str(tmp_path / f"sweep{jobs}"), "--jobs", jobs])
+            runs.append(["verify", str(src), "--emit", str(tmp_path / f"verify{jobs}"), "--jobs", jobs])
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", _OPENSSL_PROBE, json.dumps(runs)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "openssl": False}
+        universe = [emit_graph6(g) for n in range(1, 7) for g in enumerate_alpha2(n)]
+        expected = {
+            "sweep": _cert_names(universe, ("half", "chi")),
+            "verify": _cert_names([C5, PC], ("chi",)),
+        }
+        assert len(expected["sweep"]) == 156
+        for command, names in expected.items():
+            for jobs in ("1", "2"):
+                assert sorted(p.name for p in (tmp_path / f"{command}{jobs}").iterdir()) == names
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

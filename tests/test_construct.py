@@ -28,7 +28,7 @@ from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, delete_vertices, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
-from alpha2minor.invariants import co_components, critical_vertices
+from alpha2minor.invariants import co_components, complement_matching, critical_vertices, max_clique
 from alpha2minor.packing import P3Packing
 
 
@@ -351,6 +351,28 @@ class TestPerGraphCaches:
                     construct_chi_minor, g, chromatic_number_alpha2(g)
                 )
 
+    def test_invariant_caches_hold_one_graph(self):
+        # The matching and max-clique caches keep only the graphs asked last;
+        # they hold one graph's working set, so asking for both forms at
+        # every ell again, with the decompositions rebuilt, computes nothing
+        # twice.
+        invariants = (complement_matching, max_clique)
+        for g in (random_alpha2(21, 0), *_random_joins()):
+            bounds = (
+                (construct_half_minor, ceil_half(g.n)),
+                (construct_chi_minor, chromatic_number_alpha2(g)),
+            )
+            runs = []
+            for _ in range(2):
+                _clear_construct_caches()
+                for form, bound in bounds:
+                    for ell in range(1, bound // 2 + 1):
+                        form(g, ell)
+                runs.append([f.cache_info() for f in invariants])
+            first, second = runs
+            assert [info.misses for info in second] == [info.misses for info in first]
+            assert second[0].hits > first[0].hits
+
     def test_core_split_once_per_graph(self, patch_construct):
         # Across every ell of one join, each non-complete core is split into
         # its co-components once: the cores are the graphs the join steps
@@ -496,6 +518,22 @@ class TestCertificates:
         for step in first["trace"]:
             for value in step.values():
                 append_to_lists(value)
+        assert json.dumps(certificate_to_json(construct_half_minor(g, 2))) == expected
+
+    def test_trace_data_is_read_only(self):
+        # Cached steps are shared by every ell's certificate, so no step's
+        # data can be changed in place, nor can the ell = 2 certificate
+        # change through the ell = 1 one.
+        g = random_alpha2(21, 0)
+        expected = json.dumps(certificate_to_json(construct_half_minor(g, 2)))
+        first = construct_half_minor(g, 1)
+        assert first.trace[-1].kind == "FallbackConnectivity"
+        for cert in (first, construct_chi_minor(join(named("cycle", 5), named("cycle", 5)), 2)):
+            for step in cert.trace:
+                with pytest.raises(TypeError):
+                    step.data["clique"] = (999,)
+                with pytest.raises(TypeError):
+                    del step.data["graph6"]
         assert json.dumps(certificate_to_json(construct_half_minor(g, 2))) == expected
 
     def test_oracle_confirms_spot_targets(self, c5, petersen_complement):

@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import alpha2minor
 from alpha2minor import (
     PreconditionError,
     alpha_at_most_two,
@@ -229,3 +233,16 @@ class TestCoComponents:
             for i, a in enumerate(comps):
                 for b in comps[i + 1 :]:
                     assert all(g.has_edge(u, v) for u in a for v in b)
+
+
+def test_every_cache_is_bounded():
+    # A sweep's memory must not grow with its universe: every cache of the
+    # package keeps at most the 256 entries asked for last.
+    sizes = {}
+    for info in pkgutil.iter_modules(alpha2minor.__path__):
+        module = importlib.import_module(f"alpha2minor.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"invariants.alpha_at_most_two", "invariants.complement_matching", "cliques.max_clique"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size is None or size > 256} == {}
