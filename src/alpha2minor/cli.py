@@ -26,6 +26,7 @@ succeeded, 1 at least one failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -63,10 +64,12 @@ class UsageError(Exception):
 
 
 def _read_lines(path: str | None) -> list[tuple[int, str]]:
-    """Non-blank input lines with their 1-based line numbers."""
+    """Non-blank input lines, split at line feeds only and stripped, with
+    their 1-based line numbers.  Stdin and files alike are decoded from their
+    bytes as strict UTF-8, whatever the locale."""
     stdin = path is None or path == "-"
     try:
-        text = sys.stdin.read() if stdin else Path(path).read_text()
+        text = (sys.stdin.buffer.read() if stdin else Path(path).read_bytes()).decode()
     except OSError as exc:
         raise UsageError(exc) from None
     except UnicodeDecodeError as exc:
@@ -74,7 +77,7 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
         raise UsageError(f"{'<stdin>' if stdin else path}: {exc}") from None
     return [
         (number, line.strip())
-        for number, line in enumerate(text.splitlines(), start=1)
+        for number, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
 
@@ -256,34 +259,34 @@ def _sweep_graph(want_certs: bool, g: Graph) -> tuple[list[Row], list]:
 
 def _packing_rows(g: Graph) -> list[Row]:
     """Per ell, the exhaustive packing search against the four conditions, and
-    where its hypotheses hold, the packing guarantee; each asked once."""
+    where its hypotheses hold, the packing guarantee; the conditions are asked
+    once per graph, each packing once per ell."""
     n = g.n
-    asked = {
-        ell: (check_packing_conditions(g, ell), find_p3_packing(g, ell))
-        for ell in range(1, (n + 2) // 3 + 1)
-    }
+    report = check_packing_conditions(g)
+    packings = {ell: find_p3_packing(g, ell) for ell in range(1, (n + 2) // 3 + 1)}
     rows = []
-    for ell, (report, packing) in asked.items():
+    for ell, packing in packings.items():
         if ell == 2 and report.five_wheel_exception:
             # The one excluded case: all four conditions hold, yet no packing.
-            exceptional = report.all_hold and packing is None
+            exceptional = report.holds(ell) and packing is None
             status = "exception" if exceptional else "failed"
             rows.append(Row(ell, "packing_iff", status, "five-wheel exclusion"))
             continue
         valid = packing is not None and not validate_packing(g, packing)
-        ok = valid if report.all_hold else packing is None
+        ok = valid if report.holds(ell) else packing is None
         rows.append(Row(ell, "packing_iff", "ok" if ok else "failed", "" if ok else "iff mismatch"))
     # The hypotheses do not depend on ell, and every ell <= (n - 1) // 4 also
     # meets ell <= (n + 3) // 4; n >= 5 is where the ell range is nonempty.
-    # Both (n + 2) // 4 and (n - 1) // 4 are at most (n + 2) // 3.
+    # For odd n >= 5, (n + 2) // 4 is at most n // 3, the cap on
+    # ``report.connectivity``, and (n - 1) // 4 is at most (n + 2) // 3.
     if (
         n % 2 == 1
         and n >= 5
-        and asked[(n + 2) // 4][0].connectivity_ok
+        and report.connectivity >= (n + 2) // 4
         and clique_number(g) < ceil_half(n)
     ):
         for ell in range(1, (n - 1) // 4 + 1):
-            found = asked[ell][1] is not None
+            found = packings[ell] is not None
             rows.append(
                 Row(ell, "packing_guarantee", "ok" if found else "failed", "" if found else "no packing")
             )
@@ -575,6 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Input is UTF-8 whatever the locale, and the reports echo malformed
+    # lines: escape what the locale's encoding lacks instead of failing.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     t0 = time.monotonic()
     try:
         code = args.func(args)

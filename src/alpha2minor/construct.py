@@ -286,7 +286,8 @@ def _half_fallback(
                 "graph6": emit_graph6(g),
                 "k": k,
                 "clique": clique,
-                "conditions": check_packing_conditions(h, k - len(clique)),
+                "seagulls": k - len(clique),
+                "conditions": check_packing_conditions(h),
             },
         )
     triples = [[lift[v] for v in t] for t in packing.triples]

@@ -68,11 +68,9 @@ def critical_vertices(g: Graph) -> int:
     return gallai_edmonds_d(complement(g), complement_matching(g))
 
 
-@lru_cache(maxsize=64)
 def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
     """Minimum doubled capacity over every nonempty clique, with a witness:
-    among the minimizers, fewest vertices, then smallest mask.  The sweep
-    asks for every ell of one graph in a row, so a few cache entries suffice.
+    among the minimizers, fewest vertices, then smallest mask.
 
     The doubled capacity of a clique C is 2|mixed| + |complete| +
     |anticomplete| over the vertices outside C.  Each clique is reached once,

@@ -5,9 +5,10 @@ minimum clique capacity, anti-matching) whose conjunction characterizes the
 existence of such a packing in graphs with independence number two, up to the
 single five-wheel exception at packing size two (Chudnovsky and Seymour,
 "Packing seagulls"), and the measure-increasing exchange procedure used by
-the hard case of the minor construction.  The clique capacity is the exact
-minimum over all cliques, computed once per graph in ``invariants``, and
-compared with 2 * ell.
+the hard case of the minor construction.  Each condition is a bound on the
+packing size ell, so the checker asks it once per graph and reports the
+largest ell it allows; the clique capacity is the exact minimum over all
+cliques, computed in ``invariants``.
 """
 
 from __future__ import annotations
@@ -113,56 +114,48 @@ def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
 
 @dataclass(frozen=True)
 class PackingConditionReport:
-    """Evaluation of the four feasibility conditions for packing ``ell``
-    disjoint induced 3-vertex paths."""
+    """The four packing-feasibility conditions of one graph, each a bound on
+    the packing size ell: ``size`` = n // 3 (n >= 3 ell), ``connectivity`` =
+    min(kappa, size) (kappa >= ell), ``min_doubled_capacity``, attained at
+    ``min_capacity_clique`` (it is >= 2 ell), and ``anti_matching`` = n - chi
+    (n - chi >= ell).  ``holds(ell)`` is their conjunction, which predicts a
+    packing of ell paths except on the five-wheel at ell = 2."""
 
-    ell: int
-    size_ok: bool
-    connectivity_ok: bool
-    min_capacity_clique: frozenset[int]
+    size: int
+    connectivity: int
     min_doubled_capacity: int
-    anti_matching_ok: bool
+    min_capacity_clique: frozenset[int]
+    anti_matching: int
     five_wheel_exception: bool
 
-    @property
-    def capacity_ok(self) -> bool:
-        return self.min_doubled_capacity >= 2 * self.ell
-
-    @property
-    def all_hold(self) -> bool:
+    def holds(self, ell: int) -> bool:
+        if ell < 0:
+            raise PreconditionError("packing size must be nonnegative")
         return (
-            self.size_ok
-            and self.connectivity_ok
-            and self.capacity_ok
-            and self.anti_matching_ok
+            ell <= min(self.size, self.connectivity, self.anti_matching)
+            and 2 * ell <= self.min_doubled_capacity
         )
 
 
-def check_packing_conditions(g: Graph, ell: int) -> PackingConditionReport:
-    """Evaluate all four packing-feasibility conditions at size ``ell``."""
-    if ell < 0:
-        raise PreconditionError("packing size must be nonnegative")
+def check_packing_conditions(g: Graph) -> PackingConditionReport:
+    """Evaluate the four packing-feasibility conditions, once per graph."""
     if not alpha_at_most_two(g):
         raise PreconditionError("graph has an independent set of size 3")
-    if g.n == 0:
-        return PackingConditionReport(
-            ell=ell,
-            size_ok=(ell == 0),
-            connectivity_ok=(ell == 0),
-            min_capacity_clique=frozenset(),
-            min_doubled_capacity=0,
-            anti_matching_ok=(ell == 0),
-            five_wheel_exception=False,
-        )
-    doubled, witness = minimum_clique_capacity(g)
+    size = g.n // 3
+    # Counted upwards, so that each test stops early; no ell above ``size``
+    # needs kappa.
+    kappa = 0
+    while kappa < size and is_k_connected(g, kappa + 1):
+        kappa += 1
+    # The empty graph has no clique; every condition then allows only ell = 0.
+    doubled, witness = minimum_clique_capacity(g) if g.n else (0, frozenset())
     return PackingConditionReport(
-        ell=ell,
-        size_ok=g.n >= 3 * ell,
-        connectivity_ok=is_k_connected(g, ell),
-        min_capacity_clique=witness,
+        size=size,
+        connectivity=kappa,
         min_doubled_capacity=doubled,
+        min_capacity_clique=witness,
         # The anti-matching number is the complement's matching number, n - chi.
-        anti_matching_ok=g.n - chromatic_number_alpha2(g) >= ell,
+        anti_matching=g.n - chromatic_number_alpha2(g),
         five_wheel_exception=is_five_wheel(g),
     )
 

@@ -294,11 +294,10 @@ def verify_packing_characterization(g: Graph, ell: int) -> bool:
     """
     if ell == 2 and is_five_wheel(g):
         raise PreconditionError("the five-wheel at size two is excluded")
-    report = check_packing_conditions(g, ell)
     packing = find_p3_packing(g, ell)
     if packing is not None and validate_packing(g, packing):
         return False
-    return (packing is not None) == report.all_hold
+    return (packing is not None) == check_packing_conditions(g).holds(ell)
 
 
 def naive_model_check(g: Graph, ell: int, m: int, clique_side, independent_side) -> bool:

@@ -99,8 +99,8 @@ def test_criterion_3_packing_characterization(universe, five_wheel):
                 if not verify_packing_characterization(g, ell):
                     mismatches.append((n, ell))
     # the stated exception: all four conditions hold, yet no packing exists
-    rep = check_packing_conditions(five_wheel, 2)
-    assert rep.all_hold and rep.five_wheel_exception
+    rep = check_packing_conditions(five_wheel)
+    assert rep.holds(2) and rep.five_wheel_exception
     assert find_p3_packing(five_wheel, 2) is None
     assert mismatches == []
     report("3", f"iff over n<=8, ell in {{1,2}}: {checked} cases + five-wheel exception")

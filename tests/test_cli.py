@@ -32,7 +32,9 @@ PC = emit_graph6(named("petersen_complement"))
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        # A text stream over bytes, as a real stdin is: the CLI reads its
+        # ``buffer``.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -217,23 +219,21 @@ class TestSweep:
         assert out == run(capsys, ["sweep", "1..6"])[1]
 
     def test_each_packing_question_asked_once(self, capsys, monkeypatch, universe):
-        # Per (graph, ell), the iff row and the guarantee rows share one
-        # packing search and one test of the four conditions.
-        asked = {}
-        for name in ("find_p3_packing", "check_packing_conditions"):
-            counts = asked[name] = Counter()
-
-            def counted(g, ell, original=getattr(cli, name), counts=counts):
-                counts[g, ell] += 1
-                return original(g, ell)
-
-            monkeypatch.setattr(cli, name, counted)
+        # The four conditions are asked once per graph, and the iff row and
+        # the guarantee rows share one packing search per (graph, ell).
+        conditions, packings = Counter(), Counter()
+        check, find = cli.check_packing_conditions, cli.find_p3_packing
+        monkeypatch.setattr(cli, "check_packing_conditions", lambda g: conditions.update([g]) or check(g))
+        monkeypatch.setattr(
+            cli, "find_p3_packing", lambda g, ell: packings.update([(g, ell)]) or find(g, ell)
+        )
         code, _, _ = run(capsys, ["sweep", "1..8"])
         assert code == 0
-        once = Counter(
-            (g, ell) for n in range(1, 9) for g in universe(n) for ell in range(1, (n + 2) // 3 + 1)
+        graphs = [g for n in range(1, 9) for g in universe(n)]
+        assert conditions == Counter(graphs)
+        assert packings == Counter(
+            (g, ell) for g in graphs for ell in range(1, (g.n + 2) // 3 + 1)
         )
-        assert asked == {"find_p3_packing": once, "check_packing_conditions": once}
 
     def test_top_order_enumerated_first(self, capsys, monkeypatch):
         # It builds every lower order, and an order above the cap fails before
@@ -399,6 +399,56 @@ class TestUsage:
             monkeypatch.setattr(sys, "stdin", stdin)
             code, out, err = run(capsys, argv)
             assert (code, out, err) == (2, "", f"error: <stdin>: {reason}\n")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["oracle-check", "--target", "K3"]], ids=["verify", "oracle-check"]
+    )
+    def test_stdin_decoded_strictly_whatever_the_locale(self, capsys, monkeypatch, argv, encoding):
+        # Under a C or C.UTF-8 locale the stdin text stream escapes bad bytes
+        # instead of failing; the bytes under it are decoded as a file's are.
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfeDhc\n"), encoding=encoding, errors="surrogateescape"
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert run(capsys, argv) == (2, "", f"error: <stdin>: {reason}\n")
+
+    def test_file_decoded_as_utf8_whatever_the_locale(self, tmp_path):
+        # With UTF-8 mode off under the C locale, the locale's codec is ASCII;
+        # a valid UTF-8 line is still read, and reported as malformed graph6,
+        # escaped where the ASCII stdout cannot hold it.
+        src = tmp_path / "in.g6"
+        src.write_bytes(f"\u00e9\n{C5}\n".encode())
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        outputs = []
+        for argv in (["verify"], ["verify", "--format", "json"], ["oracle-check", "--target", "K3"]):
+            done = subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-m", "alpha2minor.cli", *argv, str(src)],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == 1, done.stderr
+            outputs.append(done.stdout)
+        csv, report, oracle = outputs
+        assert "1,\\xe9,0,-,failed,malformed graph6: byte '\\xe9' out of graph6 range" in csv
+        assert f"2,{C5},1,chi,ok," in csv
+        results = json.loads(report)["results"]
+        assert [(r["graph6"], r["status"]) for r in results] == [("\u00e9", "failed"), (C5, "ok")]
+        assert oracle.splitlines()[1].startswith("1,\\xe9,K3,failed,malformed graph6")
+
+    def test_lines_end_at_line_feed_only(self, capsys, monkeypatch, tmp_path):
+        # A form feed is a line break to str.splitlines, not to graph6 files;
+        # a carriage return before the line feed is dropped.
+        data = f"{C5}\x0c{C5}\n{C5}\r\n"
+        src = tmp_path / "in.g6"
+        src.write_bytes(data.encode())
+        code, out, _ = run(capsys, ["verify", str(src)])
+        assert code == 1
+        assert f"1,{C5}\x0c{C5},0,-,failed,malformed graph6" in out
+        assert f"2,{C5},1,chi,ok," in out
+        assert "# processed=2 succeeded=1 failed=1 skipped=0" in out
+        assert run(capsys, ["verify"], stdin=data, monkeypatch=monkeypatch)[:2] == (1, out)
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
         started = []

@@ -11,6 +11,7 @@ from alpha2minor import (
     CliqueJoinIndependent,
     InvariantViolation,
     PreconditionError,
+    check_packing_conditions,
     chromatic_number_alpha2,
     construct_chi_minor,
     construct_half_minor,
@@ -238,7 +239,9 @@ class TestHalfForm:
         state = exc.value.state
         assert state["graph6"] == emit_graph6(g) and state["k"] == 6
         assert len(state["clique"]) == clique_number(g)
-        assert state["conditions"].ell == 6 - len(state["clique"])
+        assert state["seagulls"] == 6 - len(state["clique"])
+        beside = delete_vertices(g, state["clique"])[0]
+        assert state["conditions"] == check_packing_conditions(beside)
 
     def test_connectivity_decided_once_per_graph(self, monkeypatch):
         # k = ceil(n/2) = 21 does not depend on ell: the split digraph of G
@@ -599,4 +602,5 @@ def test_readme_tour_shows_its_values():
         "a2.vertex_connectivity(g)": 6,
         "a2.validate_model(g, cert.target, cert.model)": [],
         "a2.find_minor_bruteforce(g, a2.CliqueJoinIndependent(2, 3)) is not None": True,
+        "report.holds(3)": True,
     }

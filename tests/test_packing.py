@@ -9,12 +9,14 @@ from alpha2minor import (
     random_alpha2,
     validate_packing,
 )
-from alpha2minor.graphs import Graph, parse_graph6
+from alpha2minor.graphs import Graph, emit_graph6, parse_graph6
 from alpha2minor.invariants import minimum_clique_capacity
 from alpha2minor.packing import P3Packing, uncovered_outside_neighborhood
 from oracles import (
+    brute_chromatic_number,
     brute_min_doubled_capacity,
     brute_packing_exists,
+    brute_vertex_connectivity,
     verify_packing_characterization,
 )
 
@@ -48,35 +50,33 @@ class TestFindPacking:
 
 class TestConditions:
     def test_cycle(self, c5):
-        report = check_packing_conditions(c5, 1)
-        assert report.size_ok and report.connectivity_ok
-        assert report.capacity_ok and report.anti_matching_ok
+        report = check_packing_conditions(c5)
+        assert report.size >= 1 and report.connectivity >= 1
+        assert report.min_doubled_capacity >= 2 and report.anti_matching >= 1
         assert not report.five_wheel_exception
-        assert report.all_hold
+        assert report.holds(1)
         # The minimum is over every clique, whatever ell is: a single cycle
         # vertex (two complete and two anticomplete vertices) has doubled
         # capacity 4, below an edge's 5 (two mixed, one anticomplete).
         assert report.min_doubled_capacity == 4
         assert report.min_capacity_clique == frozenset({0})
-        tight = check_packing_conditions(c5, 2)
-        assert tight.min_doubled_capacity == 4
-        assert tight.min_capacity_clique == frozenset({0})
-        assert tight.capacity_ok and not tight.size_ok  # 5 < 3 * 2
+        # At ell = 2 the capacity condition holds and the size one fails.
+        assert report.min_doubled_capacity >= 4 and report.size < 2  # 5 < 3 * 2
 
     def test_complete_fails_anti_matching(self):
-        report = check_packing_conditions(named("complete", 6), 1)
-        assert not report.anti_matching_ok
-        assert not report.all_hold
+        report = check_packing_conditions(named("complete", 6))
+        assert report.anti_matching < 1
+        assert not report.holds(1)
 
     def test_five_wheel_exception_case(self, five_wheel):
-        report = check_packing_conditions(five_wheel, 2)
-        assert report.all_hold
+        report = check_packing_conditions(five_wheel)
+        assert report.holds(2)
         assert report.five_wheel_exception
         assert find_p3_packing(five_wheel, 2) is None
 
     def test_capacity_witness_is_clique(self, universe):
         for g in universe(6):
-            report = check_packing_conditions(g, 2)
+            report = check_packing_conditions(g)
             members = sorted(report.min_capacity_clique)
             assert members
             assert all(
@@ -97,14 +97,35 @@ class TestConditions:
         g = parse_graph6("G~]K[[")
         assert minimum_clique_capacity(g) == (5, frozenset({1, 2, 3}))
         assert brute_min_doubled_capacity(g) == (5, frozenset({1, 2, 3}))
-        report = check_packing_conditions(g, 3)
+        report = check_packing_conditions(g)
         assert report.min_doubled_capacity == 5
         assert report.min_capacity_clique == frozenset({1, 2, 3})
-        assert not report.capacity_ok
+        assert report.min_doubled_capacity < 2 * 3
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            check_packing_conditions(named("cycle", 6), 1)
+            check_packing_conditions(named("cycle", 6))
+
+    def test_negative_size(self, c5):
+        with pytest.raises(PreconditionError):
+            check_packing_conditions(c5).holds(-1)
+
+    def test_holds_matches_brute_force_conditions(self, universe):
+        # Every ell from 0 past the largest possible packing size.
+        for n in range(1, 9):
+            for g in universe(n):
+                report = check_packing_conditions(g)
+                kappa = brute_vertex_connectivity(g)
+                doubled, _ = brute_min_doubled_capacity(g)
+                anti_matching = n - brute_chromatic_number(g)
+                for ell in range(n + 2):
+                    expected = (
+                        n >= 3 * ell
+                        and kappa >= ell
+                        and doubled >= 2 * ell
+                        and anti_matching >= ell
+                    )
+                    assert report.holds(ell) == expected, (emit_graph6(g), ell)
 
 
 class TestCharacterization:
