@@ -280,16 +280,17 @@ def _half_fallback(
     h, lift = delete_vertices(g, clique)
     packing = find_p3_packing(h, k - len(clique))
     if packing is None:
-        raise InvariantViolation(
-            "seagull packing beside the clique not found",
-            {
-                "graph6": emit_graph6(g),
-                "k": k,
-                "clique": clique,
-                "seagulls": k - len(clique),
-                "conditions": check_packing_conditions(h),
-            },
-        )
+        state = {
+            "graph6": emit_graph6(g),
+            "k": k,
+            "clique": clique,
+            "seagulls": k - len(clique),
+        }
+        # The report's clique capacity scans every clique: dump it only where
+        # that finishes.
+        if h.n <= 30:
+            state["conditions"] = check_packing_conditions(h)
+        raise InvariantViolation("seagull packing beside the clique not found", state)
     triples = [[lift[v] for v in t] for t in packing.triples]
     sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
     return _step(kind, g, **data, clique=clique, triples=triples), sets

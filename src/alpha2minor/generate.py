@@ -3,15 +3,30 @@
 Such graphs are exactly the complements of triangle-free graphs, so the
 exhaustive stream is produced by growing triangle-free graphs one vertex at a
 time (the new vertex's neighborhood must be an independent set) and keeping
-one representative per isomorphism class, then complementing.  Classes are
-told apart by canonical certificate (``iso.canonical_form``), so confirming a
-duplicate is a dict lookup, and each class keeps its first member generated.
+one representative per isomorphism class, then complementing.
 
-Each parent is extended only by the first independent set, in sorted order,
-of each orbit of the automorphisms its canonical labelling found.  That skips
-no class's first member: if S' follows S in one orbit, an automorphism of the
-parent P maps S onto S', so P + S' is isomorphic to P + S, which was generated
-earlier.  Automorphisms of a subgroup only merge fewer sets, never wrong ones.
+Classes are kept apart by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998), so no candidate is compared
+with another.  A parent P is extended by one independent set S per orbit of
+its automorphisms (the first in sorted order), and the child C = P + S is
+kept only when its new vertex v lies in the orbit of C's canonical deletion
+vertex m: the first vertex, in C's canonical order (``iso.canonical_form``),
+of those with the largest (degree, sum of neighbour degrees).  m is chosen
+the same way in every graph isomorphic to C, so C - v is isomorphic to C - m
+and hence to one parent only, and an isomorphism between two kept children
+of P can be chosen to map one new vertex onto the other, where it restricts
+to an automorphism of P taking one set onto the other: one child per class.
+Most children are settled before any labelling: v must have the largest
+degree, so |S| is at least the degree of every vertex outside S and one more
+than that of every vertex in S, and a v alone with its (degree, sum) needs no
+tie break.
+
+Both groups must be whole.  A subgroup of Aut(P) splits an orbit of sets, and
+the two children it yields both pass the test; a subgroup of Aut(C) splits
+m's orbit, and a child whose v is only in the whole orbit is lost.  The
+labelling's generators generate the whole group (see ``iso``).  Each class
+is kept as its one child that passes the test, so the representatives follow
+the canonical labelling: the classes are fixed, the members kept are not.
 
 The random stream complements random maximal triangle-free graphs, which
 guarantees the independence bound by construction instead of rejection
@@ -25,7 +40,7 @@ from functools import lru_cache
 
 from .errors import PreconditionError
 from .graphs import Graph, _graph_unchecked, bits, complement, independent_sets
-from .iso import canonical_form
+from .iso import _orbit_closure, canonical_form
 
 EXHAUSTIVE_CAP_DEFAULT = 10
 
@@ -66,23 +81,49 @@ def _orbit_representatives(masks: list[int], gens) -> list[int]:
     return reps
 
 
+def _is_canonical_deletion(g: Graph) -> bool:
+    """Whether the last vertex of ``g`` is in the orbit of the canonical
+    deletion vertex."""
+    v = g.n - 1
+    deg = g.degrees()
+    top = deg[v]
+    if max(deg) > top:
+        return False
+    key = {x: sum(deg[y] for y in bits(g.adj[x])) for x in range(g.n) if deg[x] == top}
+    if key[v] < max(key.values()):
+        return False
+    tied = [x for x in key if key[x] == key[v]]
+    if len(tied) == 1:
+        return True
+    _, gens, order = canonical_form(g)
+    m = next(x for x in order if x in tied)
+    return bool(_orbit_closure(1 << m, gens) >> v & 1)
+
+
 @lru_cache(maxsize=32)
 def _triangle_free_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of triangle-free graphs on n
-    vertices: each class keeps its first member generated by extending the
-    representatives on n - 1 vertices, in order, by their independent sets in
-    sorted order, one per orbit of the parent's automorphisms."""
+    vertices: the children of the representatives on n - 1 vertices, in
+    order, by their independent sets in sorted order, one per orbit of the
+    parent's automorphisms, that pass the canonical deletion test."""
     if n == 0:
         return (Graph(0, ()),)
     # Each parent's automorphisms are found again rather than kept with its
-    # level: one more labelling per parent, against several per class built.
-    classes: dict[tuple[int, ...], Graph] = {}
+    # level, which would grow the memo.
+    children = []
     for parent in _triangle_free_classes(n - 1):
-        sets = _orbit_representatives(independent_sets(parent), canonical_form(parent)[1])
-        for nbr_mask in sets:
-            g = _extend_with_vertex(parent, nbr_mask)
-            classes.setdefault(canonical_form(g)[0], g)
-    return tuple(classes.values())
+        deg = parent.degrees()
+        # |S| is invariant under automorphisms, so filtering keeps orbits whole.
+        top = max(deg, default=0)
+        sets = [s for s in independent_sets(parent) if s.bit_count() >= top]
+        for nbr_mask in _orbit_representatives(sets, canonical_form(parent)[1]):
+            size = nbr_mask.bit_count()
+            if any(deg[x] >= size for x in bits(nbr_mask)):
+                continue
+            child = _extend_with_vertex(parent, nbr_mask)
+            if _is_canonical_deletion(child):
+                children.append(child)
+    return tuple(children)
 
 
 def enumerate_alpha2(n: int, *, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> list[Graph]:

@@ -19,9 +19,24 @@ same leaf adjacencies.  They are seeded with the transpositions of false twins
 of the best leaf so far yields one more, and the search jumps back to where
 the two paths part.  At each node, a child in the same orbit as an explored
 child, under the automorphisms that fix the node's path pointwise, is skipped.
+
+The automorphisms found generate the whole group, which the enumerator's
+canonical augmentation needs (``generate``).  Pruning only skips a subtree
+that a found automorphism maps onto one searched already.  So at each node of
+the first leaf's path, every child in the orbit of the path's own child, under
+the automorphisms that fix the path, is either searched, which yields a leaf
+equal to the first and an automorphism mapping one child onto the other, or
+skipped as the image of a searched one.  The found automorphisms thus move
+the path's child through its whole orbit at every level, and these orbit
+sizes multiply to the group's order.
+
+The best leaf's vertex order is returned with the certificate.  It is the
+canonical order: isomorphic graphs list corresponding vertices in it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .graphs import Graph
 
@@ -90,7 +105,7 @@ def _twin_transpositions(adj: tuple[int, ...]) -> list[Permutation]:
     return gens
 
 
-def _orbit_closure(mask: int, gens: list[Permutation]) -> int:
+def _orbit_closure(mask: int, gens: Sequence[Permutation]) -> int:
     """The union of the orbits of the vertices in ``mask`` under ``gens``."""
     frontier = mask
     while frontier:
@@ -106,11 +121,15 @@ def _orbit_closure(mask: int, gens: list[Permutation]) -> int:
     return mask
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[Permutation, ...]]:
-    """``(certificate, generators)``: two graphs have equal certificates
-    exactly when they are isomorphic, and each generator ``p`` (vertex ``v``
-    goes to ``p[v]``) is an automorphism of ``g``; together they generate the
-    automorphism group."""
+def canonical_form(
+    g: Graph,
+) -> tuple[tuple[int, ...], tuple[Permutation, ...], tuple[int, ...]]:
+    """``(certificate, generators, order)``: two graphs have equal
+    certificates exactly when they are isomorphic, and each generator ``p``
+    (vertex ``v`` goes to ``p[v]``) is an automorphism of ``g``; together they
+    generate the automorphism group.  ``order`` lists the vertices as the
+    certificate's rows take them, so for isomorphic ``g`` and ``h`` the map
+    ``order_g[i] -> order_h[i]`` is an isomorphism."""
     n, adj = g.n, g.adj
     gens = _twin_transpositions(adj)
     cells = [g.vertex_mask()] if n else []
@@ -187,4 +206,4 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[Permutation, ...]]:
         return None
 
     search(cells)
-    return best[0], tuple(gens)
+    return best[0], tuple(gens), tuple(best[1])

@@ -8,7 +8,9 @@ nothing with the package's canonical labelling.  The two deletion scans for
 chromatic criticality use the package's chromatic number, one deleted
 subgraph at a time, in place of the Gallai-Edmonds set.  The packing
 characterization check compares two package routines, the exhaustive search
-and the four conditions, with each other.
+and the four conditions, with each other.  The certificate-deduplicating
+enumerator uses the package's canonical labelling and orbit pruning, but not
+its canonical augmentation.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from alpha2minor.errors import PreconditionError
-from alpha2minor.graphs import Graph, bits, delete_vertices, mask_of
+from alpha2minor.generate import _extend_with_vertex, _orbit_representatives
+from alpha2minor.graphs import Graph, bits, delete_vertices, independent_sets, mask_of
 from alpha2minor.invariants import chromatic_number_alpha2, is_five_wheel
+from alpha2minor.iso import canonical_form
 from alpha2minor.packing import check_packing_conditions, find_p3_packing, validate_packing
 
 
@@ -431,17 +435,16 @@ def are_isomorphic(g: Graph, gc: tuple[int, ...], h: Graph, hc: tuple[int, ...])
     return place(0)
 
 
-def brute_automorphism_orbits(g: Graph) -> list[frozenset[int]]:
-    """The vertex orbits of the full automorphism group, from every
-    automorphism found by backtracking over vertex images in label order."""
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism, found by backtracking over vertex images in label
+    order."""
     n = g.n
     image = [-1] * n
-    reach = [{v} for v in range(n)]
+    found = []
 
     def place(v: int) -> None:
         if v == n:
-            for u, w in enumerate(image):
-                reach[u].add(w)
+            found.append(tuple(image))
             return
         for w in range(n):
             if w in image[:v] or g.degree(w) != g.degree(v):
@@ -452,4 +455,32 @@ def brute_automorphism_orbits(g: Graph) -> list[frozenset[int]]:
                 image[v] = -1
 
     place(0)
+    return found
+
+
+def brute_automorphism_orbits(g: Graph) -> list[frozenset[int]]:
+    """The vertex orbits of the full automorphism group."""
+    reach = [{v} for v in range(g.n)]
+    for perm in brute_automorphisms(g):
+        for u, w in enumerate(perm):
+            reach[u].add(w)
     return sorted({frozenset(r) for r in reach}, key=min)
+
+
+@lru_cache(maxsize=16)
+def dedup_triangle_free_classes(n: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class of triangle-free graphs on n
+    vertices, by deduplicating every candidate by canonical certificate: each
+    class keeps its first member generated by extending the representatives on
+    n - 1 vertices, in order, by their independent sets in sorted order, one
+    per orbit of the parent's automorphisms.  Automorphisms of a subgroup
+    would only merge fewer sets, never wrong ones."""
+    if n == 0:
+        return (Graph(0, ()),)
+    classes: dict[tuple[int, ...], Graph] = {}
+    for parent in dedup_triangle_free_classes(n - 1):
+        sets = _orbit_representatives(independent_sets(parent), canonical_form(parent)[1])
+        for nbr_mask in sets:
+            g = _extend_with_vertex(parent, nbr_mask)
+            classes.setdefault(canonical_form(g)[0], g)
+    return tuple(classes.values())

@@ -642,13 +642,13 @@ RANDOM_JOIN_FACTORS = tuple(
 )
 
 GOLDEN = {
-    "sweep_1_7": "6e973d5d1f47a58334b6200e4e461750b4890019a363bf136034b341993cb173",
+    "sweep_1_7": "f108b62f06cdefde789c844b356eca14cd520d0a9129413bbd2b6799b476791c",
     "verify_half_random_11": "afac72b55d89486afb3fe90236e9d137f1d00e46e4ee60ae0c38ae5cea5ae2f3",
     "verify_chi_joins": "2d10d9f16c7fbd3b22badc22bfdd4b93e800fe1e345fe4d2ca4b906108ccc5c6",
     "verify_chi_random_joins": "158f4c7a61168f46e37dcdbcc9a130e2998201a3d7f10930e3fc780c6dc5eaf8",
-    "enumerate_8": "e51cef1b696a6aff1619ac94877380c4dca5331fab7f64132b57dbad37aae26b",
-    "enumerate_9": "c32fcc1e73f19129ea4b2bd30b591066f599bb5f7c3edee333f33b26d3587813",
-    "enumerate_10": "cb518e77cd6aa41a843c232e0a4b711434bfb8fc4e7ba878e77cabacc5b103f8",
+    "enumerate_8": "8469a0488cf2426b76699f29281a8e0e02a6c25f7f7f38df7b514566fb2f834c",
+    "enumerate_9": "27cd39ab67d854cf0d7ea8bf84629577cf8fe4cbf6ce2d4add4d65b553a42450",
+    "enumerate_10": "6b8dacc7577627c2e4d5c3d086d2f95bcc0395ab94bacddcd3ab85de4bbda4b2",
     "verify_circulants": "c24b72cfead386908dc169da0e50b8e2bf04dcfa13d0f30f5db50c74a9e663d6",
 }
 

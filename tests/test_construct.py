@@ -243,6 +243,22 @@ class TestHalfForm:
         beside = delete_vertices(g, state["clique"])[0]
         assert state["conditions"] == check_packing_conditions(beside)
 
+    def test_missing_seagull_packing_raises_at_sixty_one(self, patch_construct):
+        # The packing report scans every clique of G - W, whose count grows
+        # exponentially with n: the dump leaves it out above 30 vertices.
+        g = next(
+            h
+            for h in (random_alpha2(61, seed) for seed in range(10))
+            if construct_half_minor(h, 1).trace[0].kind.startswith("Fallback")
+        )
+        patch_construct("find_p3_packing", lambda h, count: None)
+        with pytest.raises(InvariantViolation, match="seagull") as exc:
+            construct_half_minor(g, 1)
+        state = exc.value.state
+        assert state["k"] == 31
+        assert state["seagulls"] == 31 - len(state["clique"]) > 0
+        assert "conditions" not in state
+
     def test_connectivity_decided_once_per_graph(self, monkeypatch):
         # k = ceil(n/2) = 21 does not depend on ell: the split digraph of G
         # is built for the first ell only.

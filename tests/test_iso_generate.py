@@ -14,6 +14,7 @@ from alpha2minor import (
 )
 from alpha2minor.generate import (
     _extend_with_vertex,
+    _is_canonical_deletion,
     _orbit_representatives,
     _triangle_free_classes,
 )
@@ -23,13 +24,17 @@ from conftest import isomorphic, random_graph
 from oracles import (
     are_isomorphic,
     brute_automorphism_orbits,
+    brute_automorphisms,
     brute_canonical_form,
     brute_triangle_free_class_count,
+    dedup_triangle_free_classes,
     refined_colors,
 )
 
 # One isomorphism class per triangle-free graph; complements are the universe.
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
+KNOWN_CLASS_COUNTS = {
+    1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897, 10: 12172
+}
 # All graphs on n vertices up to isomorphism (OEIS A000088).
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
@@ -88,7 +93,16 @@ class TestCanonicalForm:
             g = random_graph(9, rng.choice((0.2, 0.4, 0.6)), seed)
             perm = list(range(9))
             rng.shuffle(perm)
-            assert canonical_form(_relabel(g, perm))[0] == canonical_form(g)[0]
+            h = _relabel(g, perm)
+            certificate, _, order = canonical_form(g)
+            h_certificate, _, h_order = canonical_form(h)
+            assert h_certificate == certificate
+            # The canonical orders list corresponding vertices.
+            assert sorted(order) == list(range(9))
+            iso = [0] * 9
+            for u, w in zip(order, h_order):
+                iso[u] = w
+            assert _relabel(g, iso) == h
 
     def test_equal_exactly_when_isomorphic_up_to_six(self):
         # Every graph on n vertices is a class representative on n - 1
@@ -136,6 +150,23 @@ class TestCanonicalForm:
                 assert _orbits(canonical_form(g)[1], n) == orbits
                 assert _orbits(canonical_form(complement(g))[1], n) == orbits
 
+    def test_generators_give_the_whole_group(self, universe):
+        # Orbits alone could come from a proper subgroup; the enumerator
+        # needs the whole group on vertex sets too.
+        for n in range(8):
+            for g in universe(n):
+                group = {tuple(range(n))}
+                frontier = list(group)
+                gens = canonical_form(g)[1]
+                while frontier:
+                    perm = frontier.pop()
+                    for gen in gens:
+                        image = tuple(gen[perm[v]] for v in range(n))
+                        if image not in group:
+                            group.add(image)
+                            frontier.append(image)
+                assert group == set(brute_automorphisms(g))
+
     def test_orbit_representatives_are_first_of_each_orbit(self):
         parent = named("cycle", 6)
         sets = independent_sets(parent)
@@ -149,6 +180,31 @@ class TestEnumerate:
     def test_class_counts(self, universe):
         for n, count in KNOWN_CLASS_COUNTS.items():
             assert len(universe(n)) == count
+
+    def test_same_classes_as_deduplicating_every_candidate(self):
+        for n in range(9):
+            certificates = {canonical_form(g)[0] for g in _triangle_free_classes(n)}
+            assert certificates == {
+                canonical_form(g)[0] for g in dedup_triangle_free_classes(n)
+            }
+
+    def test_levels_pairwise_nonisomorphic_to_ten(self):
+        for n in range(11):
+            level = _triangle_free_classes(n)
+            assert len({canonical_form(g)[0] for g in level}) == len(level)
+
+    def test_canonical_deletion_accepts_one_orbit(self):
+        # Moving each vertex of a class to the last label in turn, the test
+        # accepts exactly the vertices of one orbit.
+        for n in range(1, 8):
+            for g in dedup_triangle_free_classes(n):
+                accepted = set()
+                for x in range(n):
+                    perm = list(range(n))
+                    perm[x], perm[n - 1] = n - 1, x
+                    if _is_canonical_deletion(_relabel(g, perm)):
+                        accepted.add(x)
+                assert accepted in brute_automorphism_orbits(g)
 
     def test_second_enumerator_edge_subsets(self):
         for n in range(1, 7):
