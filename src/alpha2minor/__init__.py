@@ -1,5 +1,5 @@
 """Constructive clique-join-independent minors in graphs with independence
-number two, plus the exact invariants and exhaustive searches used to verify
+number two, plus the exact invariants and the model checker used to verify
 the constructions at desk scale."""
 
 from .construct import (
@@ -14,7 +14,6 @@ from .errors import (
     Alpha2Error,
     Graph6Error,
     InvariantViolation,
-    OracleCapExceeded,
     PreconditionError,
 )
 from .generate import enumerate_alpha2, join, named, random_alpha2
@@ -37,10 +36,7 @@ from .invariants import (
 from .matching import maximum_matching
 from .minors import (
     CliqueJoinIndependent,
-    CompleteGraph,
     MinorModel,
-    MinorTarget,
-    find_minor_bruteforce,
     model_to_json,
     validate_model,
 )

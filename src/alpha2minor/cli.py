@@ -1,11 +1,10 @@
 """Batch front door: verify constructions over graph6 streams, sweep the
-exhaustive universe, cross-check the constructor against the brute-force
-oracle, and generate test universes.
+exhaustive universe, and generate test universes.
 
-Each subcommand maps its own per-graph worker once over its inputs, in one
-pool of worker processes with ``--jobs``; every worker returns the graph's
-rows and certificates.  ``verify`` and ``oracle-check`` hand their workers
-graph6 lines, parsed in one place.  ``sweep`` first builds its whole universe,
+``verify`` and ``sweep`` each map their own per-graph worker once over their
+inputs, in one pool of worker processes with ``--jobs``; every worker returns
+the graph's rows and certificates.  ``verify`` hands its worker graph6 lines,
+which the worker parses.  ``sweep`` first builds its whole universe,
 every order of the range, built in or read from ``--input``, and then hands
 its worker the ``Graph``s.
 
@@ -44,17 +43,10 @@ from .construct import (
     construct_chi_minor,
     construct_half_minor,
 )
-from .errors import Alpha2Error, OracleCapExceeded
+from .errors import Alpha2Error
 from .generate import EXHAUSTIVE_CAP_DEFAULT, enumerate_alpha2, random_alpha2
 from .graphs import Graph, emit_graph6, parse_graph6
 from .invariants import alpha_at_most_two, chromatic_number_alpha2, clique_number
-from .minors import (
-    CliqueJoinIndependent,
-    CompleteGraph,
-    ORACLE_DEFAULT_MAX_N,
-    MinorTarget,
-    find_minor_bruteforce,
-)
 from .packing import check_packing_conditions, find_p3_packing, validate_packing
 
 
@@ -165,17 +157,6 @@ class Row(NamedTuple):
     reason: str = ""
 
 
-def _check_line(per_graph, item: tuple[int, str]) -> tuple[list[Row], list]:
-    """Parse one (line number, graph6 line) item and return
-    ``per_graph(g, line)``: the graph's rows and certificates."""
-    _, line = item
-    try:
-        g = parse_graph6(line)
-    except Alpha2Error as exc:
-        return [Row(0, "-", "failed", f"malformed graph6: {exc}")], []
-    return per_graph(g, line)
-
-
 def _construct_rows(
     forms: tuple[str, ...], ells: tuple[int, ...] | None, want_certs: bool, g: Graph, line: str
 ) -> tuple[list[Row], list]:
@@ -208,43 +189,17 @@ def _construct_rows(
 
 
 def _verify_graph(
-    form: str, ells: tuple[int, ...] | None, want_certs: bool, g: Graph, line: str
+    form: str, ells: tuple[int, ...] | None, want_certs: bool, line: str
 ) -> tuple[list[Row], list]:
-    """``verify``: the constructor rows of a graph that passes the alpha <= 2
-    screen."""
+    """``verify``: the constructor rows of the graph on one graph6 line, if
+    it parses and passes the alpha <= 2 screen."""
+    try:
+        g = parse_graph6(line)
+    except Alpha2Error as exc:
+        return [Row(0, "-", "failed", f"malformed graph6: {exc}")], []
     if not alpha_at_most_two(g):
         return [Row(0, "-", "skipped", "independence number exceeds 2")], []
     return _construct_rows((form,), ells, want_certs, g, line)
-
-
-def _oracle_graph(
-    target: MinorTarget, form: str, cap: int, g: Graph, line: str
-) -> tuple[list[Row], list]:
-    """``oracle-check``: one row, the brute-force oracle's verdict on
-    ``target``, checked against the constructor when the target has the
-    constructive form."""
-    try:
-        oracle_model = find_minor_bruteforce(g, target, max_n=cap)
-    except OracleCapExceeded as exc:
-        return [Row(0, "-", "skipped", str(exc))], []
-    oracle_note = "oracle=found" if oracle_model is not None else "oracle=absent"
-    if not alpha_at_most_two(g):
-        return [Row(0, "-", "skipped", f"{oracle_note}; independence number exceeds 2")], []
-    bound = ceil_half(g.n) if form == "half" else chromatic_number_alpha2(g)
-    if (
-        not isinstance(target, CliqueJoinIndependent)
-        or target.m != bound - target.ell
-        or 2 * target.ell > bound
-    ):
-        return [Row(0, "-", "skipped", f"{oracle_note}; target not of constructive form")], []
-    (row,), _ = _construct_rows((form,), (target.ell,), False, g, line)
-    if row.status == "failed":
-        row = row._replace(reason=f"constructor failed: {row.reason}")
-    elif oracle_model is None:
-        row = row._replace(status="failed", reason="constructor succeeded but oracle found no model")
-    else:
-        row = row._replace(reason=oracle_note)
-    return [row], []
 
 
 def _sweep_graph(want_certs: bool, g: Graph) -> tuple[list[Row], list]:
@@ -331,7 +286,7 @@ def cmd_verify(args) -> int:
     items = _read_lines(args.input)
     rows_per_graph = []
     with _cert_writer(args.emit) as write:
-        for rows, certs in _check_lines(partial(_check_line, per_graph), items, args.jobs):
+        for rows, certs in _check_lines(per_graph, [line for _, line in items], args.jobs):
             write(certs)
             rows_per_graph.append(rows)
     totals = _totals(rows_per_graph)
@@ -437,46 +392,6 @@ def cmd_sweep(args) -> int:
     return 1 if any(r["failed"] for r in records) else 0
 
 
-# -- oracle-check --------------------------------------------------------------
-
-
-def parse_target(text: str) -> MinorTarget:
-    """Accepts 'K5' for complete targets and 'K2,3' for the 2-clique joined to
-    3 independent vertices."""
-    body = text[1:] if text.startswith("K") else text
-    if "," in body:
-        ell, m = body.split(",", 1)
-        return CliqueJoinIndependent(int(ell), int(m))
-    return CompleteGraph(int(body))
-
-
-def cmd_oracle_check(args) -> int:
-    try:
-        target = parse_target(args.target)
-    except (ValueError, Alpha2Error) as exc:
-        raise UsageError(f"bad target {args.target!r}: {exc}") from None
-    per_graph = partial(_oracle_graph, target, "half" if args.half else "chi", args.cap)
-    items = _read_lines(args.input)
-    rows_per_graph = [
-        rows for rows, _ in _check_lines(partial(_check_line, per_graph), items, args.jobs)
-    ]
-    totals = _totals(rows_per_graph)
-    # One row per graph.
-    records = [
-        {"index": i, "line": line, "status": row.status, "reason": row.reason}
-        for (i, line), rows in zip(items, rows_per_graph, strict=True)
-        for row in rows
-    ]
-    if args.format == "json":
-        print(json.dumps({"totals": totals, "results": records}, sort_keys=True, indent=2))
-    else:
-        target_text = f'"{args.target}"' if "," in args.target else args.target
-        print("line,graph6,target,status,reason")
-        for r in records:
-            print(f"{r['index']},{r['line']},{target_text},{r['status']},{r['reason']}")
-    return 1 if totals["failed"] else 0
-
-
 # -- gen -----------------------------------------------------------------------
 
 
@@ -559,13 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph6 file to use as the universe instead of the built-in enumeration",
     )
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle-check", help="compare constructor and brute-force oracle")
-    common(p_oracle)
-    p_oracle.add_argument("--target", required=True, help="K5 (complete) or K2,3 (clique join)")
-    p_oracle.add_argument("--half", action="store_true")
-    p_oracle.add_argument("--cap", type=int, default=ORACLE_DEFAULT_MAX_N, help="oracle size guard")
-    p_oracle.set_defaults(func=cmd_oracle_check)
 
     p_gen = sub.add_parser("gen", help="emit a test universe as graph6 lines")
     p_gen.add_argument("n", type=int)

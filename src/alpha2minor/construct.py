@@ -38,7 +38,6 @@ from .invariants import (
 from .minors import (
     CliqueJoinIndependent,
     MinorModel,
-    MinorTarget,
     model_to_json,
     normalized_model,
     validate_model,
@@ -80,7 +79,7 @@ class Certificate:
     graph: Graph
     ell: int
     chi: int
-    target: MinorTarget
+    target: CliqueJoinIndependent
     model: MinorModel
     trace: tuple[TraceStep, ...]
     validated: bool
@@ -144,7 +143,7 @@ def _step(kind: str, g: Graph, **data) -> TraceStep:
 
 
 def _finish(
-    g: Graph, ell: int, target: MinorTarget, model: MinorModel, trace: list[TraceStep]
+    g: Graph, ell: int, target: CliqueJoinIndependent, model: MinorModel, trace: list[TraceStep]
 ) -> Certificate:
     problems = validate_model(g, target, model)
     if problems:

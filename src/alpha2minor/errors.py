@@ -13,13 +13,6 @@ class PreconditionError(Alpha2Error, ValueError):
     """An operation was called outside its documented domain."""
 
 
-class OracleCapExceeded(Alpha2Error, RuntimeError):
-    """A brute-force search hit its instance-size or node budget.
-
-    Distinct from a negative answer: the search was aborted, not exhausted.
-    """
-
-
 class InvariantViolation(Alpha2Error, RuntimeError):
     """A step that the construction guarantees to succeed has failed.
 

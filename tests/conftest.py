@@ -49,6 +49,12 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# Circulant complements whose half form packs paths (PackAndContract) and
+# reaches the n = 4*ell - 1 edge case (SmallCaseEdge), which no other corpus
+# does.
+CIRCULANTS = ((31, {1, 3, 5, 12}), (33, {1, 6, 10, 15}), (35, {1, 7, 11, 16}))
+
+
 def co_circulant(n: int, steps: set[int]) -> Graph:
     """Complement of the Cayley graph Cay(Z_n, +-steps)."""
     diffs = {d % n for s in steps for d in (s, -s)}

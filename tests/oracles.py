@@ -10,7 +10,10 @@ subgraph at a time, in place of the Gallai-Edmonds set.  The packing
 characterization check compares two package routines, the exhaustive search
 and the four conditions, with each other.  The certificate-deduplicating
 enumerator uses the package's canonical labelling and orbit pruning, but not
-its canonical augmentation.
+its canonical augmentation.  The brute-force minor search grows connected
+branch sets by backtracking, after a subgraph fast path that starts from the
+package's maximum clique; no constructor calls it, so its answers are checked
+against the constructors' certificates, never fed into them.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from alpha2minor.cliques import max_clique
 from alpha2minor.errors import PreconditionError
 from alpha2minor.generate import _extend_with_vertex, _orbit_representatives
 from alpha2minor.graphs import Graph, bits, delete_vertices, independent_sets, mask_of
 from alpha2minor.invariants import chromatic_number_alpha2, is_five_wheel
 from alpha2minor.iso import canonical_form
+from alpha2minor.minors import CliqueJoinIndependent, MinorModel
 from alpha2minor.packing import check_packing_conditions, find_p3_packing, validate_packing
 
 
@@ -331,6 +336,167 @@ def naive_model_check(g: Graph, ell: int, m: int, clique_side, independent_side)
                 if not any(g.has_edge(u, v) for u in sets[i] for v in sets[j]):
                     return False
     return True
+
+
+# -- brute-force minor search ----------------------------------------------
+
+
+class SearchCapExceeded(RuntimeError):
+    """The minor search hit its instance-size guard or node budget.
+
+    Distinct from a negative answer: the search was aborted, not exhausted.
+    """
+
+
+ORACLE_DEFAULT_MAX_N = 14
+ORACLE_DEFAULT_BUDGET = 5_000_000
+
+
+def find_minor_bruteforce(
+    g: Graph,
+    target: CliqueJoinIndependent,
+    *,
+    max_n: int = ORACLE_DEFAULT_MAX_N,
+    node_budget: int = ORACLE_DEFAULT_BUDGET,
+) -> MinorModel | None:
+    """Exhaustive search for a model of ``target``; ``None`` means no model
+    exists.  Raises :class:`SearchCapExceeded` when the instance-size guard or
+    node budget trips, which is distinct from a negative answer.
+    """
+    ell, m = target.ell, target.m
+    total = ell + m
+    if total > g.n:
+        return None
+    if total >= 5 and g.n > max_n:
+        raise SearchCapExceeded(
+            f"minor oracle guard: {total} branch sets on {g.n} > {max_n} vertices"
+        )
+    direct = _direct_subgraph_model(g, ell, m)
+    if direct is not None:
+        return direct
+    return _seeded_model_search(g, ell, total, node_budget)
+
+
+def _direct_subgraph_model(g: Graph, ell: int, m: int) -> MinorModel | None:
+    """Fast path: the target as a plain subgraph (all branch sets singletons)."""
+    size, witness = max_clique(g)
+    if size < ell:
+        return None
+    if m == 0:
+        chosen = sorted(witness)[:ell]
+        return MinorModel(tuple(frozenset((v,)) for v in chosen))
+
+    def extend(cmask: int, cand: int, size_now: int) -> tuple[int, int] | None:
+        if size_now == ell:
+            common = g.vertex_mask() & ~cmask
+            for v in bits(cmask):
+                common &= g.adj[v]
+            return (cmask, common) if common.bit_count() >= m else None
+        for v in bits(cand):
+            hit = extend(
+                cmask | (1 << v), cand & g.adj[v] & ~((1 << (v + 1)) - 1), size_now + 1
+            )
+            if hit is not None:
+                return hit
+        return None
+
+    found = extend(0, g.vertex_mask(), 0)
+    if found is not None:
+        cmask, common = found
+        clique = tuple(frozenset((v,)) for v in bits(cmask))
+        indep = tuple(frozenset((v,)) for v in sorted(bits(common))[:m])
+        return MinorModel(clique, indep)
+    return None
+
+
+def _sets_joined(g: Graph, a: int, b: int) -> bool:
+    for v in bits(a):
+        if g.adj[v] & b:
+            return True
+    return False
+
+
+def _seeded_model_search(g: Graph, ell: int, total: int, node_budget: int) -> MinorModel | None:
+    n = g.n
+    ticks = 0
+
+    def tick() -> None:
+        nonlocal ticks
+        ticks += 1
+        if ticks > node_budget:
+            raise SearchCapExceeded(f"minor oracle exceeded {node_budget} search nodes")
+
+    def grown_sets(seed: int, allowed: int, size: int):
+        """Connected subsets of ``allowed`` containing ``seed`` with exactly
+        ``size`` vertices, each enumerated once."""
+
+        def grow(cur: int, ext: int, ban: int):
+            tick()
+            if cur.bit_count() == size:
+                yield cur
+                return
+            while ext:
+                vbit = ext & -ext
+                ext ^= vbit
+                v = vbit.bit_length() - 1
+                new_cur = cur | vbit
+                new_ext = (ext | (g.adj[v] & allowed)) & ~new_cur & ~ban
+                yield from grow(new_cur, new_ext, ban)
+                ban |= vbit
+
+        seed_bit = 1 << seed
+        yield from grow(seed_bit, g.adj[seed] & allowed & ~seed_bit, 0)
+
+    sets: list[int] = []
+
+    def place(role: int, free: int, prev_clique_min: int, prev_indep_min: int):
+        if role == total:
+            return list(sets)
+        in_clique = role < ell
+        prev_min = prev_clique_min if in_clique else prev_indep_min
+        must_join = sets[:role] if in_clique else sets[:ell]
+        remaining_after = total - role - 1
+        max_size = free.bit_count() - remaining_after
+        if max_size < 1:
+            return None
+        # Independent roles joined by singletons: the common dense-graph case.
+        if not in_clique:
+            good = [
+                v
+                for v in bits(free)
+                if v > prev_min and all(g.adj[v] & s for s in must_join)
+            ]
+            if len(good) >= total - role:
+                for v in good[: total - role]:
+                    sets.append(1 << v)
+                out = list(sets)
+                del sets[role:]
+                return out
+        for size in range(1, max_size + 1):
+            seeds = free & ~((1 << (prev_min + 1)) - 1) if prev_min >= 0 else free
+            for seed in bits(seeds):
+                allowed = free & ~((1 << seed) - 1)
+                if allowed.bit_count() < size:
+                    continue
+                for smask in grown_sets(seed, allowed, size):
+                    if all(_sets_joined(g, smask, other) for other in must_join):
+                        sets.append(smask)
+                        result = place(
+                            role + 1,
+                            free & ~smask,
+                            seed if in_clique else prev_clique_min,
+                            seed if not in_clique else prev_indep_min,
+                        )
+                        if result is not None:
+                            return result
+                        sets.pop()
+        return None
+
+    solution = place(0, g.vertex_mask(), -1, -1)
+    if solution is None:
+        return None
+    branch_sets = [frozenset(bits(mask)) for mask in solution]
+    return MinorModel(tuple(branch_sets[:ell]), tuple(branch_sets[ell:]))
 
 
 @lru_cache(maxsize=1 << 16)

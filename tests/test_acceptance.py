@@ -16,7 +16,6 @@ from alpha2minor import (
     construct_chi_minor,
     construct_half_minor,
     exchange_improve,
-    find_minor_bruteforce,
     find_p3_packing,
     join,
     named,
@@ -40,7 +39,7 @@ from alpha2minor.packing import (
     check_packing_conditions,
     uncovered_outside_neighborhood,
 )
-from oracles import brute_chromatic_number, verify_packing_characterization
+from oracles import brute_chromatic_number, find_minor_bruteforce, verify_packing_characterization
 
 
 def report(criterion: str, detail: str) -> None:
@@ -279,16 +278,16 @@ def _neighborhood_confined_packing(g, u, v, miss):
 
 def test_criterion_8_spot_constructions_validated_twice(c5, petersen_complement):
     spots = [
-        (c5, 1),
-        (petersen_complement, 2),
-        (join(named("cycle", 5), named("cycle", 5)), 3),
+        (c5, 1, CliqueJoinIndependent(1, 2)),
+        (petersen_complement, 2, CliqueJoinIndependent(2, 3)),
+        (join(named("cycle", 5), named("cycle", 5)), 3, CliqueJoinIndependent(3, 3)),
     ]
-    for g, ell in spots:
+    for g, ell, target in spots:
         chi = chromatic_number_alpha2(g)
         cert = construct_chi_minor(g, ell)
         assert cert.validated
         assert validate_model(g, cert.target, cert.model) == []
-        assert cert.target == CliqueJoinIndependent(ell, chi - ell)
+        assert cert.target == CliqueJoinIndependent(ell, chi - ell) == target
         oracle = find_minor_bruteforce(g, cert.target)
         assert oracle is not None
         assert validate_model(g, cert.target, oracle) == []

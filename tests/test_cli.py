@@ -20,10 +20,9 @@ from alpha2minor import (
     parse_graph6,
     random_alpha2,
 )
-from alpha2minor.cli import main, parse_target
+from alpha2minor.cli import main
 from alpha2minor.construct import TRACE_KINDS, ceil_half
-from alpha2minor.minors import CliqueJoinIndependent, CompleteGraph
-from conftest import co_circulant
+from conftest import CIRCULANTS, co_circulant
 
 C5 = emit_graph6(named("cycle", 5))
 C6 = emit_graph6(named("cycle", 6))
@@ -63,11 +62,12 @@ class TestVerify:
 
     def test_malformed_line_reports_and_continues(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "in.g6"
-        src.write_text("ThisIsNotGraph6!!!\n" + C5 + "\n")
+        src.write_text("ThisIsNotGraph6!!!\nD!c\n" + C5 + "\n")
         code, out, _ = run(capsys, ["verify", str(src)])
         assert code == 1
-        assert "malformed graph6" in out
-        assert f"2,{C5},1,chi,ok," in out
+        assert "1,ThisIsNotGraph6!!!,0,-,failed,malformed graph6" in out
+        assert "\n2,D!c,0,-,failed,malformed graph6: byte '!' out of graph6 range\n" in out
+        assert f"3,{C5},1,chi,ok," in out
 
     def test_emit_writes_certificates(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "in.g6"
@@ -276,49 +276,6 @@ class TestSweep:
         assert "has no graph of order 6..8" in err
 
 
-class TestOracleCheck:
-    def test_matching_target(self, capsys, monkeypatch, tmp_path):
-        src = tmp_path / "in.g6"
-        src.write_text(C5 + "\n")
-        code, out, _ = run(capsys, ["oracle-check", str(src), "--target", "K1,2"])
-        assert code == 0
-        assert 'ok,oracle=found' in out
-
-    def test_non_constructive_target_skipped(self, capsys, monkeypatch, tmp_path):
-        src = tmp_path / "in.g6"
-        src.write_text(C5 + "\n")
-        code, out, _ = run(capsys, ["oracle-check", str(src), "--target", "K4"])
-        assert code == 0
-        assert "skipped,oracle=absent" in out
-
-    def test_petersen_complement(self, capsys, monkeypatch, tmp_path):
-        src = tmp_path / "in.g6"
-        src.write_text(PC + "\n")
-        code, out, _ = run(capsys, ["oracle-check", str(src), "--target", "K2,3"])
-        assert code == 0
-        assert "ok,oracle=found" in out
-
-    def test_target_parsing(self):
-        assert parse_target("K5") == CompleteGraph(5)
-        assert parse_target("K2,3") == CliqueJoinIndependent(2, 3)
-        assert parse_target("2,3") == CliqueJoinIndependent(2, 3)
-
-    def test_malformed_line_reason_matches_verify(self, capsys, monkeypatch, tmp_path):
-        src = tmp_path / "in.g6"
-        src.write_text("D!c\n" + C5 + "\n")
-        code, out, _ = run(capsys, ["oracle-check", str(src), "--target", "K1,2"])
-        assert code == 1
-        assert "1,D!c,\"K1,2\",failed,malformed graph6: byte '!' out of graph6 range" in out
-        assert f'2,{C5},"K1,2",ok,oracle=found' in out
-        _, verify_out, _ = run(capsys, ["verify", str(src)])
-        assert "1,D!c,0,-,failed,malformed graph6: byte '!' out of graph6 range" in verify_out
-
-    def test_bad_target(self, capsys, monkeypatch):
-        code, _, err = run(capsys, ["oracle-check", "--target", "Kx"], stdin="",
-                           monkeypatch=monkeypatch)
-        assert code == 2
-
-
 class TestGen:
     def test_exhaustive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["gen", "4"])
@@ -367,7 +324,6 @@ class TestUsage:
             pytest.param(["verify", "--emit"], 1, id="verify --emit"),
             pytest.param(["sweep", "5"], None, id="sweep"),
             pytest.param(["sweep", "5", "--emit"], 33, id="sweep --emit"),
-            pytest.param(["oracle-check", "--target", "K1,2"], None, id="oracle-check"),
             pytest.param(["gen", "5"], None, id="gen"),
         ],
     )
@@ -384,8 +340,8 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify"], ["oracle-check", "--target", "K3"], ["sweep", "4", "--input"]],
-        ids=["verify", "oracle-check", "sweep --input"],
+        [["verify"], ["sweep", "4", "--input"]],
+        ids=["verify", "sweep --input"],
     )
     def test_undecodable_input_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
         # The error names the file, or <stdin>, as an OSError's text does.
@@ -402,7 +358,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
     @pytest.mark.parametrize(
-        "argv", [["verify"], ["oracle-check", "--target", "K3"]], ids=["verify", "oracle-check"]
+        "argv", [["verify"], ["sweep", "4", "--input", "-"]], ids=["verify", "sweep stdin"]
     )
     def test_stdin_decoded_strictly_whatever_the_locale(self, capsys, monkeypatch, argv, encoding):
         # Under a C or C.UTF-8 locale the stdin text stream escapes bad bytes
@@ -423,19 +379,18 @@ class TestUsage:
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(filter(None, path))}
         outputs = []
-        for argv in (["verify"], ["verify", "--format", "json"], ["oracle-check", "--target", "K3"]):
+        for argv in (["verify"], ["verify", "--format", "json"]):
             done = subprocess.run(
                 [sys.executable, "-X", "utf8=0", "-m", "alpha2minor.cli", *argv, str(src)],
                 capture_output=True, text=True, env=env,
             )
             assert done.returncode == 1, done.stderr
             outputs.append(done.stdout)
-        csv, report, oracle = outputs
+        csv, report = outputs
         assert "1,\\xe9,0,-,failed,malformed graph6: byte '\\xe9' out of graph6 range" in csv
         assert f"2,{C5},1,chi,ok," in csv
         results = json.loads(report)["results"]
         assert [(r["graph6"], r["status"]) for r in results] == [("\u00e9", "failed"), (C5, "ok")]
-        assert oracle.splitlines()[1].startswith("1,\\xe9,K3,failed,malformed graph6")
 
     def test_lines_end_at_line_feed_only(self, capsys, monkeypatch, tmp_path):
         # A form feed is a line break to str.splitlines, not to graph6 files;
@@ -651,12 +606,6 @@ GOLDEN = {
     "enumerate_10": "6b8dacc7577627c2e4d5c3d086d2f95bcc0395ab94bacddcd3ab85de4bbda4b2",
     "verify_circulants": "c24b72cfead386908dc169da0e50b8e2bf04dcfa13d0f30f5db50c74a9e663d6",
 }
-
-# Circulant complements whose half form packs paths (PackAndContract) and
-# reaches the n = 4*ell - 1 edge case (SmallCaseEdge), which no other corpus
-# does.
-CIRCULANTS = ((31, {1, 3, 5, 12}), (33, {1, 6, 10, 15}), (35, {1, 7, 11, 16}))
-
 
 def _trace_kinds(emit_dir) -> Counter:
     return Counter(

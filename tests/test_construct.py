@@ -16,7 +16,6 @@ from alpha2minor import (
     construct_chi_minor,
     construct_half_minor,
     certificate_to_json,
-    find_minor_bruteforce,
     find_p3_packing,
     join,
     named,
@@ -31,6 +30,8 @@ from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
 from alpha2minor.invariants import co_components, complement_matching, critical_vertices, max_clique
 from alpha2minor.packing import P3Packing
+from conftest import CIRCULANTS, co_circulant
+from oracles import find_minor_bruteforce
 
 
 # The per-graph decompositions and graph6 texts that every ell of one graph
@@ -206,21 +207,23 @@ class TestHalfForm:
                     steps += 1
         assert steps > 1000
 
-    def test_no_path_reaches_the_brute_force_search(self, universe, monkeypatch):
+    def test_no_path_reaches_the_brute_force_search(self, universe):
+        # The search is a test oracle: no module of the package holds it, its
+        # exception or its second target type, yet the fallbacks still fire.
+        import pkgutil
         import sys
+        from importlib import import_module
 
-        from alpha2minor import minors
+        import alpha2minor
 
-        assert not hasattr(construct, "find_minor_bruteforce")
-        original = minors.find_minor_bruteforce
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a constructor called the brute-force search")
-
-        for module in [m for name, m in sys.modules.items() if name.startswith("alpha2minor")]:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, forbidden)
+        for info in pkgutil.iter_modules(alpha2minor.__path__):
+            import_module(f"alpha2minor.{info.name}")
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "alpha2minor"]
+        assert len(modules) >= 12
+        removed = ("find_minor_bruteforce", "OracleCapExceeded", "CompleteGraph", "MinorTarget")
+        for module in modules:
+            for name in removed:
+                assert not hasattr(module, name), (module.__name__, name)
         fallbacks = sum(
             any(s.kind.startswith("Fallback") for s in cert.trace)
             for cert in _both_forms_every_ell(universe, 8)
@@ -242,6 +245,26 @@ class TestHalfForm:
         assert state["seagulls"] == 6 - len(state["clique"])
         beside = delete_vertices(g, state["clique"])[0]
         assert state["conditions"] == check_packing_conditions(beside)
+
+    def test_missing_guaranteed_packing_raises(self, patch_construct):
+        # The n = 31 circulant complement packs paths at ell = 1; without the
+        # packing the half form has no branch left and must say so.
+        n, steps = CIRCULANTS[0]
+        g = co_circulant(n, steps)
+        assert [step.kind for step in construct_half_minor(g, 1).trace] == ["PackAndContract"]
+        patch_construct("find_p3_packing", lambda h, count: None)
+        with pytest.raises(InvariantViolation, match="guaranteed path packing not found") as exc:
+            construct_half_minor(g, 1)
+        assert exc.value.state == {"graph6": emit_graph6(g), "ell": 1}
+
+    def test_failed_validation_raises(self, c5, patch_construct):
+        # validate_model is the package's one minor checker: a model it
+        # rejects is never handed out as a certificate.
+        patch_construct("validate_model", lambda g, target, model: ["planted problem"])
+        with pytest.raises(InvariantViolation, match="constructed model failed validation") as exc:
+            construct_half_minor(c5, 1)
+        state = exc.value.state
+        assert state == {"graph6": emit_graph6(c5), "ell": 1, "problems": ["planted problem"]}
 
     def test_missing_seagull_packing_raises_at_sixty_one(self, patch_construct):
         # The packing report scans every clique of G - W, whose count grows
@@ -559,6 +582,19 @@ class TestCertificates:
         for g, ell in ((c5, 1), (petersen_complement, 2)):
             cert = construct_chi_minor(g, ell)
             assert find_minor_bruteforce(g, cert.target) is not None
+        # The console-script corpus, `gen 9 --random 3 --seed 0`: both forms,
+        # every ell.
+        checked = 0
+        for g in (random_alpha2(9, seed) for seed in range(3)):
+            for bound, constructor in (
+                (ceil_half(g.n), construct_half_minor),
+                (chromatic_number_alpha2(g), construct_chi_minor),
+            ):
+                for ell in range(1, bound // 2 + 1):
+                    cert = constructor(g, ell)
+                    assert find_minor_bruteforce(g, cert.target) is not None
+                    checked += 1
+        assert checked >= 6
 
 
 class TestPackAndContractAssembly:
@@ -617,6 +653,5 @@ def test_readme_tour_shows_its_values():
         "a2.chromatic_number_alpha2(g)": 5,
         "a2.vertex_connectivity(g)": 6,
         "a2.validate_model(g, cert.target, cert.model)": [],
-        "a2.find_minor_bruteforce(g, a2.CliqueJoinIndependent(2, 3)) is not None": True,
         "report.holds(3)": True,
     }

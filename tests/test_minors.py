@@ -4,16 +4,13 @@ import pytest
 
 from alpha2minor import (
     CliqueJoinIndependent,
-    CompleteGraph,
     MinorModel,
-    OracleCapExceeded,
-    find_minor_bruteforce,
     model_to_json,
     named,
     validate_model,
 )
 from conftest import random_graph
-from oracles import naive_model_check
+from oracles import SearchCapExceeded, find_minor_bruteforce, naive_model_check
 
 
 def fs(*vs):
@@ -27,7 +24,7 @@ class TestValidateModel:
 
     def test_overlapping_sets(self, c5):
         model = MinorModel((fs(0, 1), fs(1, 2)), ())
-        problems = validate_model(c5, CompleteGraph(2), model)
+        problems = validate_model(c5, CliqueJoinIndependent(2, 0), model)
         assert any("disjoint" in p for p in problems)
 
     def test_disconnected_branch_set(self, c5):
@@ -37,13 +34,13 @@ class TestValidateModel:
 
     def test_count_mismatch(self, c5):
         model = MinorModel((fs(0),), ())
-        problems = validate_model(c5, CompleteGraph(2), model)
+        problems = validate_model(c5, CliqueJoinIndependent(2, 0), model)
         assert any("target needs" in p for p in problems)
 
     def test_missing_join(self):
         g = named("path", 4)
         model = MinorModel((fs(0), fs(3)), ())
-        problems = validate_model(g, CompleteGraph(2), model)
+        problems = validate_model(g, CliqueJoinIndependent(2, 0), model)
         assert any("no edge" in p for p in problems)
 
     def test_no_constraint_inside_independent_side(self):
@@ -78,12 +75,12 @@ class TestValidateModel:
 
 class TestBruteForce:
     def test_cycle_has_triangle_minor(self, c5):
-        model = find_minor_bruteforce(c5, CompleteGraph(3))
+        model = find_minor_bruteforce(c5, CliqueJoinIndependent(3, 0))
         assert model is not None
-        assert validate_model(c5, CompleteGraph(3), model) == []
+        assert validate_model(c5, CliqueJoinIndependent(3, 0), model) == []
 
     def test_cycle_has_no_k4_minor(self, c5):
-        assert find_minor_bruteforce(c5, CompleteGraph(4)) is None
+        assert find_minor_bruteforce(c5, CliqueJoinIndependent(4, 0)) is None
 
     def test_petersen_complement_clique_join(self, petersen_complement):
         target = CliqueJoinIndependent(2, 3)
@@ -92,39 +89,39 @@ class TestBruteForce:
         assert validate_model(petersen_complement, target, model) == []
 
     def test_more_sets_than_vertices(self, c5):
-        assert find_minor_bruteforce(c5, CompleteGraph(6)) is None
+        assert find_minor_bruteforce(c5, CliqueJoinIndependent(6, 0)) is None
 
     def test_clique_join_found_whenever_complete_found(self, universe):
         for g in universe(6):
             for ell in (1, 2):
                 for m in (1, 2):
-                    whole = find_minor_bruteforce(g, CompleteGraph(ell + m))
+                    whole = find_minor_bruteforce(g, CliqueJoinIndependent(ell + m, 0))
                     if whole is not None:
                         part = find_minor_bruteforce(g, CliqueJoinIndependent(ell, m))
                         assert part is not None
 
     def test_size_guard(self):
         g = named("complete", 16)
-        with pytest.raises(OracleCapExceeded):
-            find_minor_bruteforce(g, CompleteGraph(5), max_n=14)
+        with pytest.raises(SearchCapExceeded):
+            find_minor_bruteforce(g, CliqueJoinIndependent(5, 0), max_n=14)
 
     def test_node_budget(self):
         g = named("cycle", 12)
-        with pytest.raises(OracleCapExceeded):
-            find_minor_bruteforce(g, CompleteGraph(4), node_budget=10)
+        with pytest.raises(SearchCapExceeded):
+            find_minor_bruteforce(g, CliqueJoinIndependent(4, 0), node_budget=10)
 
     def test_multi_vertex_branch_sets_needed(self, petersen):
         # The Petersen graph has clique number 2 but a K5 minor (contract a
         # perfect matching), so the search must grow non-singleton sets.
-        model = find_minor_bruteforce(petersen, CompleteGraph(5))
+        model = find_minor_bruteforce(petersen, CliqueJoinIndependent(5, 0))
         assert model is not None
-        assert validate_model(petersen, CompleteGraph(5), model) == []
+        assert validate_model(petersen, CliqueJoinIndependent(5, 0), model) == []
         assert any(len(s) > 1 for s in model.all_sets())
 
     def test_series_parallel_negative(self):
         # Cycles have no complete minor on four vertices; the exhaustive
         # search must prove the absence.
-        assert find_minor_bruteforce(named("cycle", 9), CompleteGraph(4)) is None
+        assert find_minor_bruteforce(named("cycle", 9), CliqueJoinIndependent(4, 0)) is None
 
 
 class TestJson:
@@ -145,9 +142,9 @@ class TestJson:
         assert validate_model(c5, target, back) == []
 
     def test_complete_target_fragment(self):
-        data = model_to_json(CompleteGraph(3), MinorModel((fs(0), fs(1), fs(2)), ()))
+        data = model_to_json(CliqueJoinIndependent(3, 0), MinorModel((fs(0), fs(1), fs(2)), ()))
         assert data == {
-            "target": {"k": 3},
+            "target": {"ell": 3, "m": 0},
             "clique_side": [[0], [1], [2]],
             "independent_side": [],
         }
