@@ -4,9 +4,9 @@ exhaustive universe, and generate test universes.
 ``verify`` and ``sweep`` each map their own per-graph worker once over their
 inputs, in one pool of worker processes with ``--jobs``; every worker returns
 the graph's rows and certificates.  ``verify`` hands its worker graph6 lines,
-which the worker parses.  ``sweep`` first builds its whole universe,
-every order of the range, built in or read from ``--input``, and then hands
-its worker the ``Graph``s.
+which the worker parses.  ``sweep`` hands its worker the ``Graph``s of its
+universe: the built-in enumeration of every order of the range, streamed as
+it is generated, or the graphs read from ``--input``.
 
 Reports are byte-deterministic for fixed inputs, flags and seeds: workers
 return plain data, and results are reassembled in input order.  With
@@ -202,14 +202,14 @@ def _verify_graph(
     return _construct_rows((form,), ells, want_certs, g, line)
 
 
-def _sweep_graph(want_certs: bool, g: Graph) -> tuple[list[Row], list]:
-    """``sweep``: both forms' rows at every ell, then the packing rows, of a
-    graph of the universe, which has alpha <= 2 already; and the
-    certificates."""
+def _sweep_graph(want_certs: bool, g: Graph) -> tuple[int, str, list[Row], list]:
+    """``sweep``: the order and graph6 line of a graph of the universe, which
+    has alpha <= 2 already; both forms' rows at every ell, then the packing
+    rows; and the certificates."""
     # Cached, so that the trace steps taken in g itself reuse the text.
     line = cached_graph6(g)
     rows, certs = _construct_rows(("half", "chi"), None, want_certs, g, line)
-    return rows + _packing_rows(g), certs
+    return g.n, line, rows + _packing_rows(g), certs
 
 
 def _packing_rows(g: Graph) -> list[Row]:
@@ -248,15 +248,21 @@ def _packing_rows(g: Graph) -> list[Row]:
     return rows
 
 
-def _check_lines(worker, items: list, jobs: int):
+# Items per task from a stream of unknown length; the task pipe holds few.
+_CHUNK = 64
+
+
+def _check_lines(worker, items, jobs: int, chunk: int | None = None):
     """``worker`` over ``items``, yielded in input order as the results come
-    in, on at most one worker process per item; ``worker`` and the items must
-    pickle."""
-    jobs = min(jobs, len(items))
+    in; ``worker`` and the items must pickle.  A stream is sent ``chunk``
+    items per task; a list, with no ``chunk``, a quarter of each worker's
+    share per task, on at most one worker process per item."""
+    if chunk is None:
+        jobs = min(jobs, len(items))
     if jobs <= 1:
         yield from map(worker, items)
         return
-    chunk = max(1, len(items) // (4 * jobs))
+    chunk = chunk or max(1, len(items) // (4 * jobs))
     with Pool(processes=jobs) as pool:
         yield from pool.imap(worker, items, chunksize=chunk)
 
@@ -328,8 +334,8 @@ def cmd_sweep(args) -> int:
         ns = []
     if not ns:
         raise UsageError(f"bad range {args.range!r}")
-    # The whole universe is built before the writer starts, so that a usage
-    # error leaves no certificate written.
+    # A usage error comes before the writer starts, so that it leaves no
+    # certificate written.
     if args.input:
         # alternative exhaustive source: a graph6 file, e.g. from another tool
         universe = []
@@ -345,41 +351,36 @@ def cmd_sweep(args) -> int:
                 f"{args.input} has no graph of order {args.range}"
                 " with independence number at most two"
             )
-        universe.sort(key=lambda g: g.n)
     else:
-        # The top order first: it builds every lower level, and an order above
-        # the cap fails before anything is enumerated.  A negative order fails
-        # at once, so it goes first.
-        order = ns if ns[0] < 0 else reversed(ns)
         try:
-            levels = {n: enumerate_alpha2(n, cap=args.cap) for n in order}
+            universe = enumerate_alpha2(*ns, cap=args.cap)
         except Alpha2Error as exc:
             raise UsageError(exc) from None
-        universe = [g for n in ns for g in levels[n]]
-    graphs = Counter(g.n for g in universe)
+    graphs = Counter()
     # One record per (n, ell), as the JSON report prints it; ell 0 counts the
     # graphs of order n.
     records = {}
 
     def record(n: int, ell: int) -> dict:
-        blank = {"n": n, "ell": ell, "graphs": graphs[n], "checks": 0, "ok": 0, "failed": 0}
+        blank = {"n": n, "ell": ell, "checks": 0, "ok": 0, "failed": 0}
         return records.setdefault((n, ell), {**blank, "failures": []})
 
     for n in ns:
         record(n, 0)
     worker = partial(_sweep_graph, bool(args.emit))
     with _cert_writer(args.emit) as write:
-        for g, (rows, certs) in zip(universe, _check_lines(worker, universe, args.jobs), strict=True):
+        for n, line, rows, certs in _check_lines(worker, universe, args.jobs, None if args.input else _CHUNK):
+            graphs[n] += 1
             for row in rows:
-                rec = record(g.n, row.ell)
+                rec = record(n, row.ell)
                 rec["checks"] += 1
                 if row.status == "failed":
                     rec["failed"] += 1
-                    rec["failures"].append(f"{emit_graph6(g)}|{row.form}|{row.reason}")
+                    rec["failures"].append(f"{line}|{row.form}|{row.reason}")
                 else:
                     rec["ok"] += 1
             write(certs)
-    records = [records[key] for key in sorted(records)]
+    records = [{**records[key], "graphs": graphs[key[0]]} for key in sorted(records)]
     if args.format == "json":
         print(json.dumps(records, sort_keys=True, indent=2))
     else:

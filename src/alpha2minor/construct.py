@@ -28,11 +28,13 @@ from .graphs import (
     is_k_connected,
 )
 from .invariants import (
+    _chromatic_number,
+    _critical_vertices,
+    _require_alpha2,
     alpha_at_most_two,
     chromatic_number_alpha2,
     clique_number,
     co_components,
-    critical_vertices,
     max_clique,
 )
 from .minors import (
@@ -177,8 +179,7 @@ def select_edge_small_case(g: Graph, ell: int) -> tuple[int, int]:
     disconnected graphs with independence number two are two disjoint cliques,
     where no candidate exists and the failure is reported loudly.
     """
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
+    _require_alpha2(g)
     if g.is_complete():
         raise PreconditionError("complete graph has no non-adjacent pair")
     full = g.vertex_mask()
@@ -203,8 +204,7 @@ def construct_half_minor(g: Graph, ell: int) -> Certificate:
     branch sets; requires independence number <= 2 and 2*ell <= ceil(n/2)."""
     if g.n < 1:
         raise PreconditionError("graph must have at least one vertex")
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
+    _require_alpha2(g)
     if ell < 1 or 2 * ell > ceil_half(g.n):
         raise PreconditionError(f"need 1 <= ell and 2*ell <= {ceil_half(g.n)}")
     trace: list[TraceStep] = []
@@ -341,9 +341,7 @@ def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
 def construct_chi_minor(g: Graph, ell: int) -> Certificate:
     """Certificate for the ell-clique joined to chi(G) - ell independent
     branch sets; requires independence number <= 2 and 2*ell <= chi(G)."""
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
-    chi = chromatic_number_alpha2(g)
+    chi = chromatic_number_alpha2(g)  # raises unless alpha <= 2
     if ell < 1 or 2 * ell > chi:
         raise PreconditionError(f"need 1 <= ell and 2*ell <= chi = {chi}")
     trace: list[TraceStep] = []
@@ -402,13 +400,13 @@ def _chi_decomposition(
     stays, so no earlier test of ``_chi_model`` fires there, and a complete
     graph, whose vertices are all in D, can only be the core.  A non-complete
     core has at most 2*chi - 2 vertices, so its complement is disconnected."""
-    chi = chromatic_number_alpha2(g)
+    chi = _chromatic_number(g)
     lift = tuple(range(g.n))
     deletions: list[TraceStep] = []
-    while noncritical := g.vertex_mask() & ~critical_vertices(g):
+    while noncritical := g.vertex_mask() & ~_critical_vertices(g):
         x = (noncritical & -noncritical).bit_length() - 1
         h, hlift = delete_vertices(g, (x,))
-        if chromatic_number_alpha2(h) != chi:
+        if _chromatic_number(h) != chi:
             raise InvariantViolation(
                 "deleting a vertex outside the Gallai-Edmonds set lowered chi",
                 {"graph6": emit_graph6(g), "chi": chi, "vertex": x},
@@ -426,8 +424,8 @@ def _chi_decomposition(
         )
     g1, side1 = induced_subgraph(g, comps[0])
     g2, side2 = delete_vertices(g, comps[0])
-    chi1 = chromatic_number_alpha2(g1)
-    chi2 = chromatic_number_alpha2(g2)
+    chi1 = _chromatic_number(g1)
+    chi2 = _chromatic_number(g2)
     if chi1 + chi2 != chi:
         raise InvariantViolation(
             "join did not add chromatic numbers",
@@ -537,10 +535,10 @@ def _critical_nonadjacent_pair(gi: Graph, chii: int) -> tuple[int, int] | None:
     deletions all leave chromatic number chii - 1.  The vertices whose
     deletion alone does that are the Gallai-Edmonds set D of the
     complement."""
-    singles = critical_vertices(gi)
+    singles = _critical_vertices(gi)
     for x in bits(singles):
         for y in bits(singles & ~gi.adj[x] & ~((2 << x) - 1)):
             h, _ = delete_vertices(gi, (x, y))
-            if chromatic_number_alpha2(h) == chii - 1:
+            if _chromatic_number(h) == chii - 1:
                 return (x, y)
     return None

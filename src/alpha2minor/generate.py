@@ -19,7 +19,8 @@ to an automorphism of P taking one set onto the other: one child per class.
 Most children are settled before any labelling: v must have the largest
 degree, so |S| is at least the degree of every vertex outside S and one more
 than that of every vertex in S, and a v alone with its (degree, sum) needs no
-tie break.
+tie break.  Each child is decided alone, so the classes stream depth first,
+and a kept child hands the generators of its one labelling to its children.
 
 Both groups must be whole.  A subgroup of Aut(P) splits an orbit of sets, and
 the two children it yields both pass the test; a subgroup of Aut(C) splits
@@ -36,22 +37,21 @@ sampling.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from collections.abc import Iterator
 
 from .errors import PreconditionError
 from .graphs import Graph, _graph_unchecked, bits, complement, independent_sets
-from .iso import _orbit_closure, canonical_form
+from .iso import Permutation, _orbit_closure, canonical_form
 
-EXHAUSTIVE_CAP_DEFAULT = 10
+EXHAUSTIVE_CAP_DEFAULT = 11
 
 def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
     """Add vertex n adjacent to ``nbr_mask``."""
     n = g.n
     rows = list(g.adj)
-    new_row = nbr_mask
     for v in bits(nbr_mask):
         rows[v] |= 1 << n
-    rows.append(new_row)
+    rows.append(nbr_mask)
     return _graph_unchecked(n + 1, tuple(rows))
 
 
@@ -81,60 +81,62 @@ def _orbit_representatives(masks: list[int], gens) -> list[int]:
     return reps
 
 
-def _is_canonical_deletion(g: Graph) -> bool:
-    """Whether the last vertex of ``g`` is in the orbit of the canonical
-    deletion vertex."""
+def _is_canonical_deletion(g: Graph, want_gens: bool) -> tuple[Permutation, ...] | None:
+    """``None`` unless the last vertex of ``g`` is in the orbit of the
+    canonical deletion vertex; else Aut(g)'s generators, if a tie break
+    labelled ``g`` or ``want_gens`` asks, and ``()`` if not."""
     v = g.n - 1
     deg = g.degrees()
     top = deg[v]
     if max(deg) > top:
-        return False
+        return None
     key = {x: sum(deg[y] for y in bits(g.adj[x])) for x in range(g.n) if deg[x] == top}
     if key[v] < max(key.values()):
-        return False
+        return None
     tied = [x for x in key if key[x] == key[v]]
     if len(tied) == 1:
-        return True
+        return canonical_form(g)[1] if want_gens else ()
     _, gens, order = canonical_form(g)
     m = next(x for x in order if x in tied)
-    return bool(_orbit_closure(1 << m, gens) >> v & 1)
+    return gens if _orbit_closure(1 << m, gens) >> v & 1 else None
 
 
-@lru_cache(maxsize=32)
-def _triangle_free_classes(n: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of triangle-free graphs on n
-    vertices: the children of the representatives on n - 1 vertices, in
-    order, by their independent sets in sorted order, one per orbit of the
-    parent's automorphisms, that pass the canonical deletion test."""
-    if n == 0:
-        return (Graph(0, ()),)
-    # Each parent's automorphisms are found again rather than kept with its
-    # level, which would grow the memo.
-    children = []
-    for parent in _triangle_free_classes(n - 1):
-        deg = parent.degrees()
-        # |S| is invariant under automorphisms, so filtering keeps orbits whole.
-        top = max(deg, default=0)
-        sets = [s for s in independent_sets(parent) if s.bit_count() >= top]
-        for nbr_mask in _orbit_representatives(sets, canonical_form(parent)[1]):
-            size = nbr_mask.bit_count()
-            if any(deg[x] >= size for x in bits(nbr_mask)):
-                continue
-            child = _extend_with_vertex(parent, nbr_mask)
-            if _is_canonical_deletion(child):
-                children.append(child)
-    return tuple(children)
+def _triangle_free_classes(max_n: int, parent: Graph = Graph(0, ()), gens=()) -> Iterator[Graph]:
+    """One representative per isomorphism class of triangle-free graphs on at
+    most ``max_n`` vertices, depth first from ``parent``, whose automorphisms
+    ``gens`` generate: the parent, then the subtrees of its children, by
+    their independent sets in sorted order, one per orbit, that pass the
+    canonical deletion test."""
+    yield parent
+    if parent.n == max_n:
+        return
+    deg = parent.degrees()
+    # |S| is invariant under automorphisms, so filtering keeps orbits whole.
+    top = max(deg, default=0)
+    sets = [s for s in independent_sets(parent) if s.bit_count() >= top]
+    for nbr_mask in _orbit_representatives(sets, gens):
+        size = nbr_mask.bit_count()
+        if any(deg[x] >= size for x in bits(nbr_mask)):
+            continue
+        child = _extend_with_vertex(parent, nbr_mask)
+        child_gens = _is_canonical_deletion(child, child.n < max_n)
+        if child_gens is not None:
+            yield from _triangle_free_classes(max_n, child, child_gens)
 
 
-def enumerate_alpha2(n: int, *, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> list[Graph]:
-    """All graphs on n vertices with independence number <= 2, one per
-    isomorphism class: the complements of the triangle-free graphs on n
-    vertices.  Deterministic order."""
-    if n < 0:
+def enumerate_alpha2(*orders: int, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> Iterator[Graph]:
+    """The graphs with independence number <= 2 on each number of vertices in
+    ``orders``, one per isomorphism class: the complements of the
+    triangle-free graphs, streamed from one pass up to the largest order.
+    Each order's graphs come in the order they have when it is asked alone.
+    A bad order raises here, before the stream starts."""
+    if not orders:
+        raise PreconditionError("no vertex count given")
+    if min(orders) < 0:
         raise PreconditionError("vertex count must be nonnegative")
-    if n > cap:
+    if max(orders) > cap:
         raise PreconditionError(f"exhaustive enumeration capped at n = {cap}")
-    return [complement(g) for g in _triangle_free_classes(n)]
+    return (complement(g) for g in _triangle_free_classes(max(orders)) if g.n in orders)
 
 
 def random_alpha2(n: int, seed: int) -> Graph:

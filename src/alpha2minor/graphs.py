@@ -295,18 +295,20 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity: the largest k with ``is_k_connected(g, k)``,
-    by bisection between 0 and the minimum degree.  Complete graphs give n-1
-    and disconnected graphs give 0."""
-    low, high = 0, min(g.degrees(), default=0)
-    while low < high:
-        mid = (low + high + 1) // 2
-        if is_k_connected(g, mid):
-            low = mid
-        else:
-            high = mid - 1
-    return low
+def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
+    """min(kappa(G), cap), or kappa(G) without ``cap``: one pass over Even's
+    schedule that lowers the bound min(delta, cap) to any pair's smaller local
+    connectivity, so only the first bound-many vertices are tried.  Complete
+    graphs give n-1 and disconnected graphs give 0."""
+    bound = min(min(g.degrees(), default=0), g.n if cap is None else cap)
+    split = _split_rows(g)
+    full = g.vertex_mask()
+    i = 0
+    while i < bound:
+        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
+            bound = _local_connectivity(g, split, i, j, bound)
+        i += 1
+    return bound
 
 
 # -- graph6 serialization ----------------------------------------------

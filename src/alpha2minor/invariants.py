@@ -47,25 +47,45 @@ def alpha_at_most_two(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=256)
+def _complement_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    # This and the next two skip the alpha <= 2 test, for the induced
+    # subgraphs that a construction derives from an input that passed it.
+    return tuple(maximum_matching(complement(g)))
+
+
+def _chromatic_number(g: Graph) -> int:
+    return g.n - len(_complement_matching(g))
+
+
+def _critical_vertices(g: Graph) -> int:
+    return gallai_edmonds_d(complement(g), _complement_matching(g))
+
+
+def _require_alpha2(g: Graph) -> None:
+    if not alpha_at_most_two(g):
+        raise PreconditionError("graph has an independent set of size 3")
+
+
 def complement_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     """A maximum matching of the complement, computed once per graph; its
     pairs are the two-vertex color classes of a minimum coloring.  Valid only
     when the independence number is <= 2."""
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
-    return tuple(maximum_matching(complement(g)))
+    _require_alpha2(g)
+    return _complement_matching(g)
 
 
 def chromatic_number_alpha2(g: Graph) -> int:
     """Chromatic number, valid only when the independence number is <= 2."""
-    return g.n - len(complement_matching(g))
+    _require_alpha2(g)
+    return _chromatic_number(g)
 
 
 def critical_vertices(g: Graph) -> int:
     """Mask of the vertices whose deletion lowers the chromatic number: the
     Gallai-Edmonds set D of the complement, found from the cached matching.
     Valid only when the independence number is <= 2."""
-    return gallai_edmonds_d(complement(g), complement_matching(g))
+    _require_alpha2(g)
+    return _critical_vertices(g)
 
 
 def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:

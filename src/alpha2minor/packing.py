@@ -17,9 +17,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError
-from .graphs import Graph, bits, closed_neighborhood_mask, is_k_connected, mask_of
+from .graphs import Graph, bits, closed_neighborhood_mask, mask_of, vertex_connectivity
 from .invariants import (
-    alpha_at_most_two,
+    _require_alpha2,
     chromatic_number_alpha2,
     is_five_wheel,
     minimum_clique_capacity,
@@ -139,19 +139,14 @@ class PackingConditionReport:
 
 def check_packing_conditions(g: Graph) -> PackingConditionReport:
     """Evaluate the four packing-feasibility conditions, once per graph."""
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
+    _require_alpha2(g)
     size = g.n // 3
-    # Counted upwards, so that each test stops early; no ell above ``size``
-    # needs kappa.
-    kappa = 0
-    while kappa < size and is_k_connected(g, kappa + 1):
-        kappa += 1
     # The empty graph has no clique; every condition then allows only ell = 0.
     doubled, witness = minimum_clique_capacity(g) if g.n else (0, frozenset())
     return PackingConditionReport(
         size=size,
-        connectivity=kappa,
+        # No ell above ``size`` needs kappa.
+        connectivity=vertex_connectivity(g, size),
         min_doubled_capacity=doubled,
         min_capacity_clique=witness,
         # The anti-matching number is the complement's matching number, n - chi.
@@ -176,8 +171,7 @@ def exchange_improve(
     u, v = edge
     if not g.has_edge(u, v):
         raise PreconditionError(f"({u}, {v}) is not an edge")
-    if not alpha_at_most_two(g):
-        raise PreconditionError("graph has an independent set of size 3")
+    _require_alpha2(g)
     problems = validate_packing(g, packing)
     if problems:
         raise PreconditionError(f"invalid packing: {problems[0]}")

@@ -34,7 +34,7 @@ def universe():
 
     def get(n: int):
         if n not in cache:
-            cache[n] = enumerate_alpha2(n)
+            cache[n] = tuple(enumerate_alpha2(n))
         return cache[n]
 
     return get

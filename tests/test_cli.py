@@ -158,17 +158,17 @@ class TestSweep:
         assert row["failed"] == 0
 
     def test_cap_respected(self, capsys, monkeypatch):
-        code, _, err = run(capsys, ["sweep", "11"])
+        code, _, err = run(capsys, ["sweep", "12"])
         assert code == 2
         assert "capped" in err
 
     def test_cap_checked_before_any_certificate(self, capsys, tmp_path):
         # The orders below the cap are not checked and certified first.
         emit = tmp_path / "certs"
-        code, out, err = run(capsys, ["sweep", "1..11", "--emit", str(emit)])
+        code, out, err = run(capsys, ["sweep", "1..12", "--emit", str(emit)])
         assert code == 2
         assert out == ""
-        assert err == "error: exhaustive enumeration capped at n = 10\n"
+        assert err == "error: exhaustive enumeration capped at n = 11\n"
         assert not emit.exists()
 
     def test_external_universe_file(self, capsys, monkeypatch, tmp_path):
@@ -235,25 +235,30 @@ class TestSweep:
             (g, ell) for g in graphs for ell in range(1, (g.n + 2) // 3 + 1)
         )
 
-    def test_top_order_enumerated_first(self, capsys, monkeypatch):
-        # It builds every lower order, and an order above the cap fails before
-        # any other is enumerated; a negative order is asked for first.
-        asked = []
-        enumerate_ = cli.enumerate_alpha2
+    def test_one_stream_for_the_whole_range(self, capsys, monkeypatch):
+        # One enumeration of every order, streamed into the checks with no
+        # list in between; an order above the cap or below zero fails before
+        # anything is checked.
+        asked, handed = [], []
+        enumerate_, check = cli.enumerate_alpha2, cli._check_lines
         monkeypatch.setattr(
-            cli, "enumerate_alpha2", lambda n, cap: asked.append(n) or enumerate_(n, cap=cap)
+            cli, "enumerate_alpha2", lambda *ns, cap: asked.append(ns) or enumerate_(*ns, cap=cap)
         )
-        code, _, _ = run(capsys, ["sweep", "1..11"])
-        assert code == 2
-        assert asked == [11]
-        asked.clear()
-        code, _, _ = run(capsys, ["sweep", "1..6"])
+        monkeypatch.setattr(
+            cli, "_check_lines", lambda *args: handed.append(args[1]) or check(*args)
+        )
+        code, out, _ = run(capsys, ["sweep", "1..6"])
         assert code == 0
-        assert asked[0] == 6 and sorted(asked) == [1, 2, 3, 4, 5, 6]
+        assert asked == [(1, 2, 3, 4, 5, 6)]
+        assert len(handed) == 1 and not isinstance(handed[0], (list, tuple))
+        assert "6,0,38,0,0,0," in out
         asked.clear()
-        code, _, err = run(capsys, ["sweep", "--", "-1..9"])
-        assert code == 2 and "nonnegative" in err
-        assert asked == [-1]
+        handed.clear()
+        for argv, message in (("1..12", "capped at n = 11"), ("-1..9", "nonnegative")):
+            code, out, err = run(capsys, ["sweep", "--", argv])
+            assert code == 2 and out == "" and message in err
+        assert asked == [tuple(range(1, 13)), tuple(range(-1, 10))]
+        assert handed == []
 
     def test_bad_range(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["sweep", "x..y"])
@@ -406,11 +411,14 @@ class TestUsage:
         assert run(capsys, ["verify"], stdin=data, monkeypatch=monkeypatch)[:2] == (1, out)
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
+        # A list of inputs runs on at most one worker per item, in tasks of a
+        # quarter of each worker's share; only the built-in sweep's stream,
+        # whose length is unknown, goes out in fixed tasks on every worker.
         started = []
 
         class InlinePool:
             def __init__(self, processes):
-                started.append(processes)
+                self.processes = processes
 
             def __enter__(self):
                 return self
@@ -418,7 +426,8 @@ class TestUsage:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, items, chunksize=1):
+            def imap(self, fn, items, chunksize):
+                started.append((self.processes, chunksize))
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "Pool", InlinePool)
@@ -426,8 +435,13 @@ class TestUsage:
         src.write_text(f"{C5}\n{PC}\n")
         code, out, _ = run(capsys, ["verify", str(src), "--jobs", "8"])
         assert code == 0
-        assert started == [2]
+        assert started == [(2, 1)]
         assert "# processed=2 succeeded=2" in out
+        src.write_text(f"{C5}\n" * 40)
+        assert run(capsys, ["verify", str(src), "--jobs", "2"])[0] == 0
+        assert run(capsys, ["sweep", "5", "--input", str(src), "--jobs", "4"])[0] == 0
+        assert run(capsys, ["sweep", "1..3", "--jobs", "8"])[0] == 0
+        assert started == [(2, 1), (2, 5), (4, 2), (8, cli._CHUNK)]
 
     def test_jobs_parallel_matches_serial(self, capsys, monkeypatch):
         code1, out1, _ = run(capsys, ["sweep", "5", "--jobs", "2"])

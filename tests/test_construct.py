@@ -23,12 +23,12 @@ from alpha2minor import (
     select_edge_small_case,
     validate_model,
 )
-from alpha2minor import clique_number, construct, emit_graph6, graphs, validate_packing
+from alpha2minor import clique_number, construct, emit_graph6, graphs, invariants, validate_packing
 from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, delete_vertices, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
-from alpha2minor.invariants import co_components, complement_matching, critical_vertices, max_clique
+from alpha2minor.invariants import _complement_matching, co_components, critical_vertices, max_clique
 from alpha2minor.packing import P3Packing
 from conftest import CIRCULANTS, co_circulant
 from oracles import find_minor_bruteforce
@@ -360,7 +360,7 @@ class TestChiForm:
         # leaves vertex 0 out must not be trusted, even after a construction
         # on the same graph has filled the caches.
         construct_chi_minor(join(c5, c5), 2)
-        patch_construct("critical_vertices", lambda g: g.vertex_mask() & ~1)
+        patch_construct("_critical_vertices", lambda g: g.vertex_mask() & ~1)
         with pytest.raises(InvariantViolation, match="Gallai-Edmonds"):
             construct_chi_minor(join(c5, c5), 2)
 
@@ -398,7 +398,7 @@ class TestPerGraphCaches:
         # they hold one graph's working set, so asking for both forms at
         # every ell again, with the decompositions rebuilt, computes nothing
         # twice.
-        invariants = (complement_matching, max_clique)
+        invariants = (_complement_matching, max_clique)
         for g in (random_alpha2(21, 0), *_random_joins()):
             bounds = (
                 (construct_half_minor, ceil_half(g.n)),
@@ -476,6 +476,23 @@ class TestPerGraphCaches:
             beside = delete_vertices(g, step.data["clique"])[0]
             assert packed == [emit_graph6(beside)]
 
+    def test_alpha_tested_on_the_input_only(self, monkeypatch):
+        # The graphs a construction derives are induced subgraphs of its
+        # input, so alpha <= 2 is tested on the input alone, also when no
+        # matching is cached yet.
+        tested = []
+        alpha = invariants.alpha_at_most_two
+        # packing asks through invariants, as invariants does itself.
+        for module in (construct, invariants):
+            monkeypatch.setattr(module, "alpha_at_most_two", lambda h: tested.append(h) or alpha(h))
+        for g in _random_joins():
+            _clear_construct_caches()
+            _complement_matching.cache_clear()
+            tested.clear()
+            for ell in range(1, chromatic_number_alpha2(g) // 2 + 1):
+                certificate_to_json(construct_chi_minor(g, ell))
+            assert set(tested) == {g}
+
     def test_chain_built_once_per_graph(self, patch_construct):
         # Every ell >= 2 of this join deletes the same four noncritical
         # vertices down to a complete core; D is found once per graph of
@@ -484,7 +501,7 @@ class TestPerGraphCaches:
         chi = chromatic_number_alpha2(g)
         asked = []
         patch_construct(
-            "critical_vertices",
+            "_critical_vertices",
             lambda h: asked.append(emit_graph6(h)) or critical_vertices(h),
         )
         certs = [construct_chi_minor(g, ell) for ell in range(1, chi // 2 + 1)]

@@ -233,6 +233,7 @@ def _assert_kernel_matches_oracle(graphs) -> None:
         assert vertex_connectivity(g) == kappa, emit_graph6(g)
         for k in range(g.n + 1):
             assert is_k_connected(g, k) == (kappa >= k), (emit_graph6(g), k)
+            assert vertex_connectivity(g, k) == min(kappa, k), (emit_graph6(g), k)
 
 
 class TestConnectivityKernel:

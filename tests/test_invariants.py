@@ -243,5 +243,5 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"invariants.alpha_at_most_two", "invariants.complement_matching", "cliques.max_clique"} <= set(sizes)
+    assert {"invariants.alpha_at_most_two", "invariants._complement_matching", "cliques.max_clique"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size is None or size > 256} == {}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from alpha2minor import (
     named,
     random_alpha2,
 )
+from alpha2minor import generate
 from alpha2minor.generate import (
     _extend_with_vertex,
     _is_canonical_deletion,
@@ -176,6 +178,11 @@ class TestCanonicalForm:
         assert reps == [0b0, 0b1, 0b101, 0b1001, 0b10101]
 
 
+def _level(n: int) -> list[Graph]:
+    """The triangle-free representatives on n vertices."""
+    return [g for g in _triangle_free_classes(n) if g.n == n]
+
+
 class TestEnumerate:
     def test_class_counts(self, universe):
         for n, count in KNOWN_CLASS_COUNTS.items():
@@ -183,14 +190,14 @@ class TestEnumerate:
 
     def test_same_classes_as_deduplicating_every_candidate(self):
         for n in range(9):
-            certificates = {canonical_form(g)[0] for g in _triangle_free_classes(n)}
+            certificates = {canonical_form(g)[0] for g in _level(n)}
             assert certificates == {
                 canonical_form(g)[0] for g in dedup_triangle_free_classes(n)
             }
 
     def test_levels_pairwise_nonisomorphic_to_ten(self):
         for n in range(11):
-            level = _triangle_free_classes(n)
+            level = _level(n)
             assert len({canonical_form(g)[0] for g in level}) == len(level)
 
     def test_canonical_deletion_accepts_one_orbit(self):
@@ -202,7 +209,7 @@ class TestEnumerate:
                 for x in range(n):
                     perm = list(range(n))
                     perm[x], perm[n - 1] = n - 1, x
-                    if _is_canonical_deletion(_relabel(g, perm)):
+                    if _is_canonical_deletion(_relabel(g, perm), False) is not None:
                         accepted.add(x)
                 assert accepted in brute_automorphism_orbits(g)
 
@@ -224,7 +231,7 @@ class TestEnumerate:
                     if not any(are_isomorphic(g, colors, h, hc) for h, hc in reps):
                         reps.append((g, colors))
             backward = [g for g, _ in reps]
-            forward = _triangle_free_classes(n)
+            forward = _level(n)
             assert len(forward) == len(backward)
             for g in forward:
                 assert sum(isomorphic(g, h) for h in backward) == 1
@@ -273,10 +280,33 @@ class TestEnumerate:
             assert len(labeled) == count_by_brute
 
     def test_cap(self):
+        # Raised when asked, before any graph is made.
+        with pytest.raises(PreconditionError, match="capped at n = 11"):
+            enumerate_alpha2(12)
+        with pytest.raises(PreconditionError, match="capped at n = 4"):
+            enumerate_alpha2(3, 5, cap=4)
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            enumerate_alpha2(-1, 5)
         with pytest.raises(PreconditionError):
-            enumerate_alpha2(11)
-        with pytest.raises(PreconditionError):
-            enumerate_alpha2(5, cap=4)
+            enumerate_alpha2()
+
+    def test_one_pass_matches_each_order_alone(self):
+        by_order = {n: [] for n in range(10)}
+        for g in enumerate_alpha2(*range(10)):
+            by_order[g.n].append(g)
+        for n, graphs in by_order.items():
+            assert graphs == list(enumerate_alpha2(n))
+        assert list(enumerate_alpha2(7, 5)) == list(enumerate_alpha2(5, 7))
+
+    def test_each_graph_labelled_at_most_once(self, monkeypatch):
+        # A child labelled to break a tie hands those generators down, and
+        # one accepted without labelling is labelled only to be extended.
+        labelled = Counter()
+        monkeypatch.setattr(
+            generate, "canonical_form", lambda g: labelled.update([g]) or canonical_form(g)
+        )
+        assert len(list(enumerate_alpha2(*range(10)))) == 2480
+        assert max(labelled.values()) == 1
 
 
 class TestRandom:

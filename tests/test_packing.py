@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from alpha2minor import (
@@ -9,6 +11,7 @@ from alpha2minor import (
     random_alpha2,
     validate_packing,
 )
+from alpha2minor import graphs
 from alpha2minor.graphs import Graph, emit_graph6, parse_graph6
 from alpha2minor.invariants import minimum_clique_capacity
 from alpha2minor.packing import P3Packing, uncovered_outside_neighborhood
@@ -105,6 +108,16 @@ class TestConditions:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             check_packing_conditions(named("cycle", 6))
+
+    def test_split_digraph_built_once(self, universe, monkeypatch):
+        # kappa comes from one capped pass, not one test per candidate bound;
+        # from n = 9 on, the bound n // 3 reaches 3.
+        built = Counter()
+        split = graphs._split_rows
+        monkeypatch.setattr(graphs, "_split_rows", lambda g: built.update([g]) or split(g))
+        for g in universe(9):
+            check_packing_conditions(g)
+        assert built and max(built.values()) == 1
 
     def test_negative_size(self, c5):
         with pytest.raises(PreconditionError):
