@@ -16,7 +16,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
 )
-from .generate import enumerate_alpha2, join, named, random_alpha2
+from .generate import enumerate_alpha2, random_alpha2
 from .graphs import (
     Graph,
     complement,

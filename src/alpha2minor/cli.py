@@ -32,6 +32,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
+from itertools import chain, islice
 from multiprocessing import Pipe, Pool, Process
 from pathlib import Path
 from typing import NamedTuple
@@ -248,23 +249,26 @@ def _packing_rows(g: Graph) -> list[Row]:
     return rows
 
 
-# Items per task from a stream of unknown length; the task pipe holds few.
+# Items per task from a long input; the task pipe holds few.
 _CHUNK = 64
 
 
-def _check_lines(worker, items, jobs: int, chunk: int | None = None):
+def _check_lines(worker, items, jobs: int):
     """``worker`` over ``items``, yielded in input order as the results come
-    in; ``worker`` and the items must pickle.  A stream is sent ``chunk``
-    items per task; a list, with no ``chunk``, a quarter of each worker's
-    share per task, on at most one worker process per item."""
-    if chunk is None:
-        jobs = min(jobs, len(items))
+    in; ``worker`` and the items must pickle.  With more than one job, a head
+    of up to 4 * jobs * _CHUNK items is read first: it runs on at most one
+    worker process per item, in tasks of a quarter of each worker's share of
+    the head, so a long input goes out _CHUNK items per task."""
+    if jobs > 1:
+        items = iter(items)
+        head = list(islice(items, 4 * jobs * _CHUNK))
+        jobs = min(jobs, len(head))
+        items = chain(head, items)
     if jobs <= 1:
         yield from map(worker, items)
         return
-    chunk = chunk or max(1, len(items) // (4 * jobs))
     with Pool(processes=jobs) as pool:
-        yield from pool.imap(worker, items, chunksize=chunk)
+        yield from pool.imap(worker, items, chunksize=max(1, len(head) // (4 * jobs)))
 
 
 def _graph_status(rows: list[Row]) -> str:
@@ -369,7 +373,7 @@ def cmd_sweep(args) -> int:
         record(n, 0)
     worker = partial(_sweep_graph, bool(args.emit))
     with _cert_writer(args.emit) as write:
-        for n, line, rows, certs in _check_lines(worker, universe, args.jobs, None if args.input else _CHUNK):
+        for n, line, rows, certs in _check_lines(worker, universe, args.jobs):
             graphs[n] += 1
             for row in rows:
                 rec = record(n, row.ell)

@@ -155,87 +155,3 @@ def random_alpha2(n: int, seed: int) -> Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return complement(Graph(n, tuple(rows)))
-
-
-# -- named graphs -----------------------------------------------------------
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise PreconditionError("cycles need at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path(n: int) -> Graph:
-    if n < 1:
-        raise PreconditionError("paths need at least 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def five_wheel() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
-    return Graph.from_edges(6, edges)
-
-
-def clique_join_independent_graph(ell: int, m: int) -> Graph:
-    """The ell-clique joined to an independent set of size m, labeled with the
-    clique on 0..ell-1."""
-    if ell < 1 or m < 0:
-        raise PreconditionError("need ell >= 1 and m >= 0")
-    edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
-    edges += [(u, w) for u in range(ell) for w in range(ell, ell + m)]
-    return Graph.from_edges(ell + m, edges)
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
-
-
-def petersen_complement() -> Graph:
-    return complement(petersen())
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union with every cross pair adjacent."""
-    n = g.n + h.n
-    rows = []
-    hi_mask = ((1 << h.n) - 1) << g.n
-    lo_mask = (1 << g.n) - 1
-    for v in range(g.n):
-        rows.append(g.adj[v] | hi_mask)
-    for v in range(h.n):
-        rows.append((h.adj[v] << g.n) | lo_mask)
-    return Graph(n, tuple(rows))
-
-
-_NAMED = {
-    "cycle": cycle,
-    "complete": complete,
-    "path": path,
-    "five_wheel": five_wheel,
-    "clique_join_independent": clique_join_independent_graph,
-    "petersen": petersen,
-    "petersen_complement": petersen_complement,
-    "join": join,
-}
-
-
-def named(name: str, *params) -> Graph:
-    """Standard labeled constructions by name; see ``_NAMED`` for the roster."""
-    try:
-        builder = _NAMED[name]
-    except KeyError:
-        raise PreconditionError(
-            f"unknown graph name {name!r}; choose from {sorted(_NAMED)}"
-        ) from None
-    try:
-        return builder(*params)
-    except TypeError as exc:
-        raise PreconditionError(f"bad parameters for {name!r}: {exc}") from None

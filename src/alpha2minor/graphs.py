@@ -200,7 +200,7 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int
 
 # -- vertex connectivity -----------------------------------------------
 #
-# ``is_k_connected`` counts internally disjoint paths with a unit-capacity
+# ``_connectivity`` counts internally disjoint paths with a unit-capacity
 # max-flow on the vertex-split digraph: vertex v becomes an in-node 2v and an
 # out-node 2v+1 joined by the arc 2v -> 2v+1, and every edge uv becomes the
 # arcs 2u+1 -> 2v and 2v+1 -> 2u.  All capacities are one, so the residual
@@ -270,45 +270,41 @@ def _local_connectivity(g: Graph, split: list[int], s: int, t: int, limit: int) 
     return flow
 
 
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Decide kappa(G) >= k, stopping each pair at k paths and the whole scan
-    at the first pair with fewer."""
-    if k <= 0:
-        return True
-    n = g.n
-    if not is_connected(g):
-        return False
-    # A connected graph is 1-connected once it has an edge, and a complete
-    # graph is (n - 1)-connected.
-    if k == 1 or g.is_complete():
-        return n - 1 >= k
-    if n <= k:
-        return False
-    if min(g.degrees()) < k:
-        return False
-    split = _split_rows(g)
-    full = g.vertex_mask()
-    for i in range(k):
-        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
-            if _local_connectivity(g, split, i, j, k) < k:
-                return False
-    return True
-
-
-def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
-    """min(kappa(G), cap), or kappa(G) without ``cap``: one pass over Even's
-    schedule that lowers the bound min(delta, cap) to any pair's smaller local
-    connectivity, so only the first bound-many vertices are tried.  Complete
-    graphs give n-1 and disconnected graphs give 0."""
-    bound = min(min(g.degrees(), default=0), g.n if cap is None else cap)
+def _connectivity(g: Graph, cap: int, need: int) -> int:
+    """min(kappa(G), cap) by one pass over Even's schedule, or any value
+    below ``need`` as soon as the bound falls under it.  The bound starts at
+    min(delta, cap), before the split digraph is built, and drops to any
+    pair's smaller local connectivity, so only the first bound-many vertices
+    are tried.  Complete graphs give min(n-1, cap) and disconnected graphs 0."""
+    bound = min(min(g.degrees(), default=0), cap)
+    if bound < need:
+        return bound
     split = _split_rows(g)
     full = g.vertex_mask()
     i = 0
     while i < bound:
         for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
             bound = _local_connectivity(g, split, i, j, bound)
+            if bound < need:
+                return bound
         i += 1
     return bound
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Decide kappa(G) >= k, stopping each pair at k paths and the whole scan
+    at the first pair with fewer."""
+    if k <= 0:
+        return True
+    if k == 1:
+        # A connected graph is 1-connected once it has an edge.
+        return g.n >= 2 and is_connected(g)
+    return _connectivity(g, k, k) >= k
+
+
+def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
+    """min(kappa(G), cap), or kappa(G) without ``cap``."""
+    return _connectivity(g, g.n if cap is None else cap, 0)
 
 
 # -- graph6 serialization ----------------------------------------------

@@ -58,6 +58,8 @@ def _chromatic_number(g: Graph) -> int:
 
 
 def _critical_vertices(g: Graph) -> int:
+    """Mask of the vertices whose deletion lowers the chromatic number: the
+    Gallai-Edmonds set D of the complement, found from the cached matching."""
     return gallai_edmonds_d(complement(g), _complement_matching(g))
 
 
@@ -66,26 +68,10 @@ def _require_alpha2(g: Graph) -> None:
         raise PreconditionError("graph has an independent set of size 3")
 
 
-def complement_matching(g: Graph) -> tuple[tuple[int, int], ...]:
-    """A maximum matching of the complement, computed once per graph; its
-    pairs are the two-vertex color classes of a minimum coloring.  Valid only
-    when the independence number is <= 2."""
-    _require_alpha2(g)
-    return _complement_matching(g)
-
-
 def chromatic_number_alpha2(g: Graph) -> int:
     """Chromatic number, valid only when the independence number is <= 2."""
     _require_alpha2(g)
     return _chromatic_number(g)
-
-
-def critical_vertices(g: Graph) -> int:
-    """Mask of the vertices whose deletion lowers the chromatic number: the
-    Gallai-Edmonds set D of the complement, found from the cached matching.
-    Valid only when the independence number is <= 2."""
-    _require_alpha2(g)
-    return _critical_vertices(g)
 
 
 def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
@@ -161,8 +147,6 @@ __all__ = [
     "chromatic_number_alpha2",
     "clique_number",
     "co_components",
-    "complement_matching",
-    "critical_vertices",
     "is_five_wheel",
     "max_clique",
     "minimum_clique_capacity",

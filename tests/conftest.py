@@ -2,29 +2,30 @@ import random
 
 import pytest
 
-from alpha2minor import enumerate_alpha2, named
+from alpha2minor import enumerate_alpha2
 from alpha2minor.graphs import Graph
 from oracles import are_isomorphic, refined_colors
+import zoo
 
 
 @pytest.fixture(scope="session")
 def c5():
-    return named("cycle", 5)
+    return zoo.cycle(5)
 
 
 @pytest.fixture(scope="session")
 def five_wheel():
-    return named("five_wheel")
+    return zoo.five_wheel()
 
 
 @pytest.fixture(scope="session")
 def petersen():
-    return named("petersen")
+    return zoo.petersen()
 
 
 @pytest.fixture(scope="session")
 def petersen_complement():
-    return named("petersen_complement")
+    return zoo.petersen_complement()
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,6 @@ from alpha2minor import (
     construct_half_minor,
     exchange_improve,
     find_p3_packing,
-    join,
-    named,
     random_alpha2,
     select_edge_small_case,
     validate_model,
@@ -40,6 +38,7 @@ from alpha2minor.packing import (
     uncovered_outside_neighborhood,
 )
 from oracles import brute_chromatic_number, find_minor_bruteforce, verify_packing_characterization
+from zoo import cycle, join
 
 
 def report(criterion: str, detail: str) -> None:
@@ -280,7 +279,7 @@ def test_criterion_8_spot_constructions_validated_twice(c5, petersen_complement)
     spots = [
         (c5, 1, CliqueJoinIndependent(1, 2)),
         (petersen_complement, 2, CliqueJoinIndependent(2, 3)),
-        (join(named("cycle", 5), named("cycle", 5)), 3, CliqueJoinIndependent(3, 3)),
+        (join(cycle(5), cycle(5)), 3, CliqueJoinIndependent(3, 3)),
     ]
     for g, ell, target in spots:
         chi = chromatic_number_alpha2(g)

@@ -16,17 +16,17 @@ from alpha2minor import (
     cli,
     emit_graph6,
     enumerate_alpha2,
-    named,
     parse_graph6,
     random_alpha2,
 )
 from alpha2minor.cli import main
 from alpha2minor.construct import TRACE_KINDS, ceil_half
 from conftest import CIRCULANTS, co_circulant
+from zoo import clique_join_independent_graph, complete, cycle, five_wheel, join, petersen_complement
 
-C5 = emit_graph6(named("cycle", 5))
-C6 = emit_graph6(named("cycle", 6))
-PC = emit_graph6(named("petersen_complement"))
+C5 = emit_graph6(cycle(5))
+C6 = emit_graph6(cycle(6))
+PC = emit_graph6(petersen_complement())
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -411,9 +411,8 @@ class TestUsage:
         assert run(capsys, ["verify"], stdin=data, monkeypatch=monkeypatch)[:2] == (1, out)
 
     def test_jobs_capped_at_item_count(self, capsys, monkeypatch, tmp_path):
-        # A list of inputs runs on at most one worker per item, in tasks of a
-        # quarter of each worker's share; only the built-in sweep's stream,
-        # whose length is unknown, goes out in fixed tasks on every worker.
+        # Any input, a list or the built-in sweep's stream, runs on at most
+        # one worker per item, in tasks of a quarter of each worker's share.
         started = []
 
         class InlinePool:
@@ -441,7 +440,7 @@ class TestUsage:
         assert run(capsys, ["verify", str(src), "--jobs", "2"])[0] == 0
         assert run(capsys, ["sweep", "5", "--input", str(src), "--jobs", "4"])[0] == 0
         assert run(capsys, ["sweep", "1..3", "--jobs", "8"])[0] == 0
-        assert started == [(2, 1), (2, 5), (4, 2), (8, cli._CHUNK)]
+        assert started == [(2, 1), (2, 5), (4, 2), (6, 1)]
 
     def test_jobs_parallel_matches_serial(self, capsys, monkeypatch):
         code1, out1, _ = run(capsys, ["sweep", "5", "--jobs", "2"])
@@ -592,12 +591,12 @@ def _digest(report: str, emit_dir) -> str:
 
 
 JOIN_FACTORS = (
-    (("cycle", 5), ("cycle", 5)),
-    (("cycle", 5), ("complete", 4)),
-    (("petersen_complement",), ("complete", 2)),
-    (("five_wheel",), ("cycle", 5)),
-    (("complete", 3), ("five_wheel",)),
-    (("clique_join_independent", 2, 2), ("cycle", 5)),
+    (cycle(5), cycle(5)),
+    (cycle(5), complete(4)),
+    (petersen_complement(), complete(2)),
+    (five_wheel(), cycle(5)),
+    (complete(3), five_wheel()),
+    (clique_join_independent_graph(2, 2), cycle(5)),
 )
 
 # Joins of two random factors of odd order: chi < ceil(n/2), so the chi form
@@ -649,7 +648,7 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     digests["verify_half_random_11"] = _digest(out, emit)
     kinds += _trace_kinds(emit)
 
-    joins = [emit_graph6(named("join", named(*a), named(*b))) for a, b in JOIN_FACTORS]
+    joins = [emit_graph6(join(a, b)) for a, b in JOIN_FACTORS]
     src = tmp_path / "joins.g6"
     src.write_text("\n".join(joins) + "\n")
     emit = tmp_path / "chi"
@@ -659,7 +658,7 @@ def test_golden_reports_and_certificates(capsys, tmp_path):
     kinds += _trace_kinds(emit)
 
     joins = [
-        emit_graph6(named("join", random_alpha2(a, seed), random_alpha2(b, seed)))
+        emit_graph6(join(random_alpha2(a, seed), random_alpha2(b, seed)))
         for a, b, seed in RANDOM_JOIN_FACTORS
     ]
     src = tmp_path / "random_joins.g6"

@@ -17,8 +17,6 @@ from alpha2minor import (
     construct_half_minor,
     certificate_to_json,
     find_p3_packing,
-    join,
-    named,
     random_alpha2,
     select_edge_small_case,
     validate_model,
@@ -28,10 +26,11 @@ from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, delete_vertices, mask_of
 from alpha2minor.minors import MinorModel
 from alpha2minor.graphs import parse_graph6
-from alpha2minor.invariants import _complement_matching, co_components, critical_vertices, max_clique
+from alpha2minor.invariants import _complement_matching, _critical_vertices, co_components, max_clique
 from alpha2minor.packing import P3Packing
 from conftest import CIRCULANTS, co_circulant
 from oracles import find_minor_bruteforce
+from zoo import clique_join_independent_graph, complete, cycle, join
 
 
 # The per-graph decompositions and graph6 texts that every ell of one graph
@@ -98,7 +97,7 @@ def _random_joins():
     chi-form rows."""
     for a in range(5, 12):
         for b in range(a, 12):
-            yield named("join", random_alpha2(a, 0), random_alpha2(b, 0))
+            yield join(random_alpha2(a, 0), random_alpha2(b, 0))
 
 
 def _check_clique_plus_seagulls(data: dict) -> None:
@@ -125,16 +124,16 @@ class TestSelectEdge:
         assert closed_neighborhood_mask(c5, mask_of(edge)) == c5.vertex_mask() & ~(1 << 3)
 
     def test_four_cycle(self):
-        c4 = named("cycle", 4)
+        c4 = cycle(4)
         u, v = select_edge_small_case(c4, 2)
         assert c4.has_edge(u, v)
         assert closed_neighborhood_mask(c4, mask_of((u, v))) == c4.vertex_mask()
 
     def test_dominating_edge_suffices_at_one(self):
-        g = named("clique_join_independent", 1, 1)  # a single edge: K2
+        g = clique_join_independent_graph(1, 1)  # a single edge: K2
         with pytest.raises(PreconditionError):
             select_edge_small_case(g, 1)  # complete, no non-adjacent pair
-        star = named("clique_join_independent", 1, 2)  # path 1-0-2
+        star = clique_join_independent_graph(1, 2)  # path 1-0-2
         u, v = select_edge_small_case(star, 1)
         assert closed_neighborhood_mask(star, mask_of((u, v))) == star.vertex_mask()
 
@@ -179,7 +178,7 @@ class TestHalfForm:
         assert cert.target == CliqueJoinIndependent(2, 3)
 
     def test_complete_graph_direct(self):
-        cert = construct_half_minor(named("complete", 7), 2)
+        cert = construct_half_minor(complete(7), 2)
         assert [s.kind for s in cert.trace] == ["CliqueDirect"]
         assert cert.target == CliqueJoinIndependent(2, 2)
 
@@ -300,14 +299,14 @@ class TestHalfForm:
         with pytest.raises(PreconditionError):
             construct_half_minor(c5, 2)  # 4 > ceil(5/2)
         with pytest.raises(PreconditionError):
-            construct_half_minor(named("cycle", 6), 1)  # independence 3
+            construct_half_minor(cycle(6), 1)  # independence 3
         with pytest.raises(PreconditionError):
             construct_half_minor(Graph(0, ()), 1)
 
 
 class TestChiForm:
     def test_complete(self):
-        cert = construct_chi_minor(named("complete", 6), 3)
+        cert = construct_chi_minor(complete(6), 3)
         assert [s.kind for s in cert.trace] == ["CliqueDirect"]
         assert cert.target == CliqueJoinIndependent(3, 3)
 
@@ -370,7 +369,7 @@ class TestChiForm:
         with pytest.raises(PreconditionError):
             construct_chi_minor(c5, 2)  # chi = 3 < 4
         with pytest.raises(PreconditionError):
-            construct_chi_minor(named("cycle", 6), 1)
+            construct_chi_minor(cycle(6), 1)
 
 
 class TestPerGraphCaches:
@@ -497,12 +496,12 @@ class TestPerGraphCaches:
         # Every ell >= 2 of this join deletes the same four noncritical
         # vertices down to a complete core; D is found once per graph of
         # that chain, not once per ell.
-        g = named("join", random_alpha2(7, 0), random_alpha2(7, 0))
+        g = join(random_alpha2(7, 0), random_alpha2(7, 0))
         chi = chromatic_number_alpha2(g)
         asked = []
         patch_construct(
             "_critical_vertices",
-            lambda h: asked.append(emit_graph6(h)) or critical_vertices(h),
+            lambda h: asked.append(emit_graph6(h)) or _critical_vertices(h),
         )
         certs = [construct_chi_minor(g, ell) for ell in range(1, chi // 2 + 1)]
         chain = [
@@ -587,7 +586,7 @@ class TestCertificates:
         expected = json.dumps(certificate_to_json(construct_half_minor(g, 2)))
         first = construct_half_minor(g, 1)
         assert first.trace[-1].kind == "FallbackConnectivity"
-        for cert in (first, construct_chi_minor(join(named("cycle", 5), named("cycle", 5)), 2)):
+        for cert in (first, construct_chi_minor(join(cycle(5), cycle(5)), 2)):
             for step in cert.trace:
                 with pytest.raises(TypeError):
                     step.data["clique"] = (999,)

@@ -14,7 +14,6 @@ from alpha2minor import (
     emit_graph6,
     induced_subgraph,
     is_k_connected,
-    named,
     parse_graph6,
     random_alpha2,
     vertex_connectivity,
@@ -29,6 +28,7 @@ from alpha2minor.graphs import (
 )
 from conftest import co_circulant, isomorphic, random_graph
 from oracles import brute_alpha_at_most_two, brute_vertex_connectivity
+from zoo import complete, cycle, path
 
 graphs_strategy = st.builds(
     random_graph,
@@ -98,7 +98,7 @@ class TestComplement:
 
     def test_complete_gives_edgeless(self):
         for n in range(6):
-            co = complement(named("complete", n))
+            co = complement(complete(n))
             assert len(co.edges()) == 0
 
     def test_petersen_complement_has_independence_two(self, petersen_complement):
@@ -119,7 +119,7 @@ class TestInducedSubgraph:
 
     def test_consecutive_cycle_vertices_give_path(self, c5):
         h, lift = induced_subgraph(c5, [0, 1, 2])
-        assert h == named("path", 3)
+        assert h == path(3)
         assert lift == (0, 1, 2)
 
     def test_identity(self, c5):
@@ -192,7 +192,7 @@ class TestClosedNeighborhood:
 
 class TestVertexConnectivity:
     def test_complete(self):
-        assert vertex_connectivity(named("complete", 5)) == 4
+        assert vertex_connectivity(complete(5)) == 4
 
     def test_cycle(self, c5):
         assert vertex_connectivity(c5) == 2
@@ -249,7 +249,7 @@ class TestConnectivityKernel:
 
     def test_sparse_graphs(self):
         # Few common neighbours: the flows augment and cancel arcs.
-        _assert_kernel_matches_oracle(named("cycle", n) for n in range(3, 12))
+        _assert_kernel_matches_oracle(cycle(n) for n in range(3, 12))
         _assert_kernel_matches_oracle(_tree(n, seed) for n in (2, 7, 11) for seed in range(5))
         _assert_kernel_matches_oracle(random_graph(10, 0.25, seed) for seed in range(40))
 
@@ -263,6 +263,17 @@ class TestConnectivityKernel:
         for n in range(1, 8):
             for g in universe(n):
                 assert is_k_connected(g, 1) == (is_connected(g) and n >= 2)
+
+    def test_min_degree_below_k_builds_no_flow(self, universe, monkeypatch):
+        # kappa <= delta, so k > delta is decided before the split digraph:
+        # the half-form fallback asks k = ceil(n/2), usually above delta.
+        def no_flow(g):
+            raise AssertionError(f"split digraph built for {emit_graph6(g)}")
+
+        monkeypatch.setattr(graphs, "_split_rows", no_flow)
+        for n in range(1, 8):
+            for g in universe(n):
+                assert not is_k_connected(g, min(g.degrees()) + 1)
 
     @pytest.mark.parametrize(
         "n,steps,kappa",
@@ -332,7 +343,7 @@ class TestGraph6:
 
 def test_delete_vertices_and_connectivity_helpers(c5):
     h, lift = delete_vertices(c5, (0,))
-    assert h == named("path", 4)
+    assert h == path(4)
     assert lift == (1, 2, 3, 4)
     assert is_connected(c5)
     assert not is_connected(Graph.from_edges(2, []))

@@ -13,12 +13,10 @@ from alpha2minor import (
     co_components,
     complement,
     is_five_wheel,
-    join,
     maximum_matching,
-    named,
 )
 from alpha2minor.construct import _critical_nonadjacent_pair
-from alpha2minor.invariants import critical_vertices
+from alpha2minor.invariants import _critical_vertices
 from conftest import random_graph
 from oracles import (
     brute_alpha_at_most_two,
@@ -31,12 +29,13 @@ from oracles import (
     is_vertex_critical,
     scan_critical_nonadjacent_pair,
 )
+from zoo import clique_join_independent_graph, complete, cycle, join, path
 
 
 class TestAlphaAtMostTwo:
     def test_examples(self, c5, petersen_complement):
         assert alpha_at_most_two(c5)
-        assert not alpha_at_most_two(named("cycle", 6))
+        assert not alpha_at_most_two(cycle(6))
         assert alpha_at_most_two(petersen_complement)
 
     def test_against_oracle(self):
@@ -53,7 +52,7 @@ class TestChromaticNumber:
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            chromatic_number_alpha2(named("cycle", 6))
+            chromatic_number_alpha2(cycle(6))
 
     def test_agrees_with_exact_coloring(self, universe):
         for n in range(1, 7):
@@ -70,7 +69,7 @@ class TestChromaticNumber:
 class TestCliqueNumber:
     def test_examples(self, c5, petersen_complement, petersen):
         assert clique_number(c5) == 2
-        assert clique_number(named("clique_join_independent", 2, 3)) == 3
+        assert clique_number(clique_join_independent_graph(2, 3)) == 3
         # maximum clique of the complement = maximum independent set
         assert brute_independence_number(petersen) == 4
         assert clique_number(petersen_complement) == 4
@@ -108,7 +107,7 @@ class TestCapacity:
         assert report.doubled_capacity == 5
 
     def test_whole_clique(self):
-        report = capacity(named("complete", 6), range(6))
+        report = capacity(complete(6), range(6))
         assert report.doubled_capacity == 0
 
     def test_partition_property(self):
@@ -144,7 +143,7 @@ class TestAntiMatching:
     the complement."""
 
     def test_examples(self, c5, five_wheel):
-        assert len(maximum_matching(complement(named("complete", 6)))) == 0
+        assert len(maximum_matching(complement(complete(6)))) == 0
         assert len(maximum_matching(complement(c5))) == 2
         assert len(maximum_matching(complement(five_wheel))) == 2
 
@@ -169,7 +168,7 @@ class TestFiveWheel:
     def test_recognition(self, five_wheel, c5):
         assert is_five_wheel(five_wheel)
         assert not is_five_wheel(c5)
-        assert not is_five_wheel(named("complete", 6))
+        assert not is_five_wheel(complete(6))
 
     def test_unique_in_six_vertex_universe(self, universe):
         hits = [g for g in universe(6) if is_five_wheel(g)]
@@ -188,11 +187,11 @@ class TestFiveWheel:
 class TestVertexCritical:
     def test_examples(self, c5, five_wheel):
         assert is_vertex_critical(c5)
-        assert is_vertex_critical(named("complete", 4))
+        assert is_vertex_critical(complete(4))
         assert is_vertex_critical(five_wheel)
 
     def test_non_critical(self):
-        assert not is_vertex_critical(named("path", 4))
+        assert not is_vertex_critical(path(4))
 
 
 class TestCriticalVertices:
@@ -202,7 +201,7 @@ class TestCriticalVertices:
     def test_matches_deletion_scan_on_universe(self, universe):
         for n in range(1, 10):
             for g in universe(n):
-                assert critical_vertices(g) == chi_drop_scan(g)
+                assert _critical_vertices(g) == chi_drop_scan(g)
 
     def test_nonadjacent_pair_matches_deletion_scan(self, universe):
         for n in range(1, 10):
@@ -216,7 +215,7 @@ class TestCoComponents:
         assert co_components(c5) == [frozenset(range(5))]
 
     def test_clique_join_independent(self):
-        comps = co_components(named("clique_join_independent", 3, 4))
+        comps = co_components(clique_join_independent_graph(3, 4))
         assert len(comps) == 3 + 1
         assert frozenset({3, 4, 5, 6}) in comps
 

@@ -9,8 +9,6 @@ from alpha2minor import (
     chromatic_number_alpha2,
     complement,
     enumerate_alpha2,
-    join,
-    named,
     random_alpha2,
 )
 from alpha2minor import generate
@@ -20,7 +18,7 @@ from alpha2minor.generate import (
     _orbit_representatives,
     _triangle_free_classes,
 )
-from alpha2minor.graphs import Graph, independent_sets
+from alpha2minor.graphs import Graph, independent_sets, induced_subgraph
 from alpha2minor.iso import canonical_form
 from conftest import isomorphic, random_graph
 from oracles import (
@@ -32,6 +30,7 @@ from oracles import (
     dedup_triangle_free_classes,
     refined_colors,
 )
+from zoo import clique_join_independent_graph, cycle, five_wheel, join
 
 # One isomorphism class per triangle-free graph; complements are the universe.
 KNOWN_CLASS_COUNTS = {
@@ -61,7 +60,7 @@ class TestIsomorphism:
 
     def test_regular_nonisomorphic_pair(self):
         # Both 2-regular on 9 vertices: one 9-cycle versus a 4+5 cycle pair.
-        c9 = named("cycle", 9)
+        c9 = cycle(9)
         c45 = Graph.from_edges(
             9,
             [(0, 1), (1, 2), (2, 3), (3, 0)] + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)],
@@ -170,7 +169,7 @@ class TestCanonicalForm:
                 assert group == set(brute_automorphisms(g))
 
     def test_orbit_representatives_are_first_of_each_orbit(self):
-        parent = named("cycle", 6)
+        parent = cycle(6)
         sets = independent_sets(parent)
         reps = _orbit_representatives(sets, canonical_form(parent)[1])
         # Under the dihedral group of the hexagon: the empty set, one vertex,
@@ -334,12 +333,14 @@ class TestRandom:
 
 
 class TestNamed:
+    """The labelled graphs of ``zoo``."""
+
     def test_five_wheel_size(self):
-        w5 = named("five_wheel")
+        w5 = five_wheel()
         assert w5.n == 6 and len(w5.edges()) == 10
 
     def test_clique_join_independent(self):
-        g = named("clique_join_independent", 2, 3)
+        g = clique_join_independent_graph(2, 3)
         from alpha2minor import clique_number
         from oracles import brute_independence_number
 
@@ -347,13 +348,13 @@ class TestNamed:
         assert clique_number(g) == 3
         # the independent side itself is a largest independent set
         assert brute_independence_number(g) == 3
-        assert brute_independence_number(named("clique_join_independent", 3, 2)) == 2
+        assert brute_independence_number(clique_join_independent_graph(3, 2)) == 2
 
     def test_join_of_cycles(self, c5):
-        g = named("join", c5, c5)
+        g = join(c5, c5)
         assert g.n == 10
         assert all(g.has_edge(u, v) for u in range(5) for v in range(5, 10))
-        assert g == join(c5, c5)
+        assert induced_subgraph(g, range(5))[0] == induced_subgraph(g, range(5, 10))[0] == c5
 
     def test_petersen(self, petersen):
         assert petersen.n == 10
@@ -363,9 +364,3 @@ class TestNamed:
         from oracles import brute_independence_number
 
         assert brute_independence_number(petersen) == 4
-
-    def test_unknown_name(self):
-        with pytest.raises(PreconditionError):
-            named("mystery")
-        with pytest.raises(PreconditionError):
-            named("cycle")  # missing parameter

@@ -2,11 +2,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alpha2minor import PreconditionError, named
+from alpha2minor import PreconditionError
 from alpha2minor.graphs import delete_vertices
 from alpha2minor.matching import gallai_edmonds_d, maximum_matching
 from conftest import random_graph
 from oracles import brute_matching_number
+from zoo import complete, cycle, path, petersen
 
 graphs_strategy = st.builds(
     random_graph,
@@ -17,10 +18,10 @@ graphs_strategy = st.builds(
 
 
 def test_named_graphs():
-    assert len(maximum_matching(named("cycle", 5))) == 2
-    assert len(maximum_matching(named("complete", 7))) == 3
-    assert len(maximum_matching(named("petersen"))) == 5  # perfect matching
-    assert len(maximum_matching(named("path", 1))) == 0
+    assert len(maximum_matching(cycle(5))) == 2
+    assert len(maximum_matching(complete(7))) == 3
+    assert len(maximum_matching(petersen())) == 5  # perfect matching
+    assert len(maximum_matching(path(1))) == 0
 
 
 def test_returned_pairs_form_a_matching():
@@ -63,4 +64,4 @@ def test_gallai_edmonds_d_rejects_a_matching_that_is_not_maximum():
     # The path 0-1-2-3 matched only in its middle has the augmenting path
     # 0-1-2-3: the trees grown from 0 and from 3 meet.
     with pytest.raises(PreconditionError):
-        gallai_edmonds_d(named("path", 4), [(1, 2)])
+        gallai_edmonds_d(path(4), [(1, 2)])

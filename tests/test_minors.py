@@ -6,11 +6,11 @@ from alpha2minor import (
     CliqueJoinIndependent,
     MinorModel,
     model_to_json,
-    named,
     validate_model,
 )
 from conftest import random_graph
 from oracles import SearchCapExceeded, find_minor_bruteforce, naive_model_check
+from zoo import clique_join_independent_graph, complete, cycle, path
 
 
 def fs(*vs):
@@ -38,13 +38,13 @@ class TestValidateModel:
         assert any("target needs" in p for p in problems)
 
     def test_missing_join(self):
-        g = named("path", 4)
+        g = path(4)
         model = MinorModel((fs(0), fs(3)), ())
         problems = validate_model(g, CliqueJoinIndependent(2, 0), model)
         assert any("no edge" in p for p in problems)
 
     def test_no_constraint_inside_independent_side(self):
-        g = named("clique_join_independent", 1, 3)
+        g = clique_join_independent_graph(1, 3)
         model = MinorModel((fs(0),), (fs(1), fs(2), fs(3)))
         assert validate_model(g, CliqueJoinIndependent(1, 3), model) == []
 
@@ -101,12 +101,12 @@ class TestBruteForce:
                         assert part is not None
 
     def test_size_guard(self):
-        g = named("complete", 16)
+        g = complete(16)
         with pytest.raises(SearchCapExceeded):
             find_minor_bruteforce(g, CliqueJoinIndependent(5, 0), max_n=14)
 
     def test_node_budget(self):
-        g = named("cycle", 12)
+        g = cycle(12)
         with pytest.raises(SearchCapExceeded):
             find_minor_bruteforce(g, CliqueJoinIndependent(4, 0), node_budget=10)
 
@@ -121,7 +121,7 @@ class TestBruteForce:
     def test_series_parallel_negative(self):
         # Cycles have no complete minor on four vertices; the exhaustive
         # search must prove the absence.
-        assert find_minor_bruteforce(named("cycle", 9), CliqueJoinIndependent(4, 0)) is None
+        assert find_minor_bruteforce(cycle(9), CliqueJoinIndependent(4, 0)) is None
 
 
 class TestJson:

@@ -7,7 +7,6 @@ from alpha2minor import (
     check_packing_conditions,
     exchange_improve,
     find_p3_packing,
-    named,
     random_alpha2,
     validate_packing,
 )
@@ -22,6 +21,7 @@ from oracles import (
     brute_vertex_connectivity,
     verify_packing_characterization,
 )
+from zoo import complete, cycle
 
 
 class TestFindPacking:
@@ -31,7 +31,7 @@ class TestFindPacking:
         assert validate_packing(c5, packing) == []
 
     def test_complete_graph_has_none(self):
-        assert find_p3_packing(named("complete", 7), 1) is None
+        assert find_p3_packing(complete(7), 1) is None
 
     def test_five_wheel_has_no_two(self, five_wheel):
         # Cross-checked by an independent combination-based search.
@@ -67,7 +67,7 @@ class TestConditions:
         assert report.min_doubled_capacity >= 4 and report.size < 2  # 5 < 3 * 2
 
     def test_complete_fails_anti_matching(self):
-        report = check_packing_conditions(named("complete", 6))
+        report = check_packing_conditions(complete(6))
         assert report.anti_matching < 1
         assert not report.holds(1)
 
@@ -107,7 +107,7 @@ class TestConditions:
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            check_packing_conditions(named("cycle", 6))
+            check_packing_conditions(cycle(6))
 
     def test_split_digraph_built_once(self, universe, monkeypatch):
         # kappa comes from one capped pass, not one test per candidate bound;
@@ -144,7 +144,7 @@ class TestConditions:
 class TestCharacterization:
     def test_positive_and_negative_sides(self, c5):
         assert verify_packing_characterization(c5, 1)
-        assert verify_packing_characterization(named("complete", 6), 1)
+        assert verify_packing_characterization(complete(6), 1)
 
     def test_five_wheel_excluded(self, five_wheel):
         with pytest.raises(PreconditionError):
