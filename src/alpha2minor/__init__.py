@@ -37,7 +37,6 @@ from .matching import maximum_matching
 from .minors import (
     CliqueJoinIndependent,
     MinorModel,
-    model_to_json,
     validate_model,
 )
 from .packing import (

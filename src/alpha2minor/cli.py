@@ -165,13 +165,13 @@ def _construct_rows(
     a constructor's error becomes a failed row.  With ``want_certs``, also
     ((line, ell, form), JSON text) for each ok row's certificate; the writer
     names its file."""
-    # Also for the half form: its certificates record chi too.
-    chi = chromatic_number_alpha2(g)
     rows = []
     certs = []
     for form in forms:
-        bound = ceil_half(g.n) if form == "half" else chi
-        constructor = construct_half_minor if form == "half" else construct_chi_minor
+        if form == "half":
+            bound, constructor = ceil_half(g.n), construct_half_minor
+        else:
+            bound, constructor = chromatic_number_alpha2(g), construct_chi_minor
         for ell in ells or range(1, bound // 2 + 1):
             if 2 * ell > bound:
                 rows.append(Row(ell, form, "skipped", f"2*ell exceeds {bound}"))
@@ -338,6 +338,8 @@ def cmd_sweep(args) -> int:
         ns = []
     if not ns:
         raise UsageError(f"bad range {args.range!r}")
+    if min(ns) < 0:
+        raise UsageError("vertex count must be nonnegative")
     # A usage error comes before the writer starts, so that it leaves no
     # certificate written.
     if args.input:

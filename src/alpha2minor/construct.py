@@ -40,7 +40,6 @@ from .invariants import (
 from .minors import (
     CliqueJoinIndependent,
     MinorModel,
-    model_to_json,
     normalized_model,
     validate_model,
 )
@@ -95,17 +94,17 @@ def cached_graph6(g: Graph) -> str:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    mj = model_to_json(cert.target, cert.model)
+    # ``_finish`` stored the model normalized: its sides are already sorted.
     return {
         "input_graph6": cached_graph6(cert.graph),
         "n": cert.graph.n,
         "alpha_leq_2": alpha_at_most_two(cert.graph),
         "chi": cert.chi,
         "ell": cert.ell,
-        "target": mj["target"],
+        "target": {"ell": cert.target.ell, "m": cert.target.m},
         "model": {
-            "clique_side": mj["clique_side"],
-            "independent_side": mj["independent_side"],
+            "clique_side": [sorted(s) for s in cert.model.clique_side],
+            "independent_side": [sorted(s) for s in cert.model.independent_side],
         },
         "trace": [{"kind": step.kind, **step.data} for step in cert.trace],
         "validated": cert.validated,
@@ -145,7 +144,7 @@ def _step(kind: str, g: Graph, **data) -> TraceStep:
 
 
 def _finish(
-    g: Graph, ell: int, target: CliqueJoinIndependent, model: MinorModel, trace: list[TraceStep]
+    g: Graph, ell: int, chi: int, target: CliqueJoinIndependent, model: MinorModel, trace: list[TraceStep]
 ) -> Certificate:
     problems = validate_model(g, target, model)
     if problems:
@@ -156,7 +155,7 @@ def _finish(
     return Certificate(
         graph=g,
         ell=ell,
-        chi=chromatic_number_alpha2(g),
+        chi=chi,
         target=target,
         model=normalized_model(model),
         trace=tuple(trace),
@@ -210,7 +209,7 @@ def construct_half_minor(g: Graph, ell: int) -> Certificate:
     trace: list[TraceStep] = []
     model = _half_model(g, ell, trace)
     target = CliqueJoinIndependent(ell, ceil_half(g.n) - ell)
-    return _finish(g, ell, target, model, trace)
+    return _finish(g, ell, _chromatic_number(g), target, model, trace)
 
 
 def _half_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:
@@ -347,7 +346,7 @@ def construct_chi_minor(g: Graph, ell: int) -> Certificate:
     trace: list[TraceStep] = []
     model = _chi_model(g, ell, chi, trace)
     target = CliqueJoinIndependent(ell, chi - ell)
-    return _finish(g, ell, target, model, trace)
+    return _finish(g, ell, chi, target, model, trace)
 
 
 def _chi_model(g: Graph, ell: int, chi: int, trace: list[TraceStep]) -> MinorModel:
@@ -451,11 +450,11 @@ def _critical_join_model(g, ell, chi, trace, part1, part2) -> MinorModel:
                 m1.independent_side + m2.independent_side,
             )
     if g1.is_complete() or g2.is_complete():
-        return _clique_absorb_model(g, ell, chi, trace, part1, part2)
+        return _clique_absorb_model(g, ell, trace, part1, part2)
     return _parity_glue_model(g, ell, chi, trace, part1, part2)
 
 
-def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
+def _clique_absorb_model(g, ell, trace, part1, part2) -> MinorModel:
     """One join factor is a clique: its vertices dominate the graph and can be
     placed directly on either side of the model."""
     if part1[0].is_complete():
@@ -478,9 +477,17 @@ def _clique_absorb_model(g, ell, chi, trace, part1, part2) -> MinorModel:
 
 def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     """Neither factor splits or is a clique: both factor chromatic numbers are
-    odd, chi = 2*ell, and deleting a suitable non-adjacent pair from each
+    odd, chi = 2*ell, and deleting the first non-adjacent pair from each
     factor drops its chromatic number by exactly one.  The two pairs are glued
-    across the join into two dominating branch sets, one per side."""
+    across the join into two dominating branch sets, one per side.
+
+    Factor G_i's pair is u_i, its lowest vertex with a non-neighbour, and v_i,
+    u_i's lowest non-neighbour, which lies above u_i.  chi adds over joins, so
+    each side of the vertex-critical core is vertex-critical: the complement's
+    Gallai-Edmonds set D is all of V(G_i).  For non-adjacent x, y in D, some
+    maximum matching M of the complement misses x; M covers y, or M + xy is
+    larger, so swapping y's edge for xy gives a maximum matching with xy.
+    Deleting x and y then drops n by two and nu by one: chi drops by one."""
     g1, lift1, chi1 = part1
     g2, lift2, chi2 = part2
     if not (chi == 2 * ell and chi1 % 2 == 1 and chi2 % 2 == 1):
@@ -497,14 +504,14 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
     pairs_g = []
     for gi, lifti, chii in ((g1, lift1, chi1), (g2, lift2, chi2)):
         li = (chii - 1) // 2
-        pair = _critical_nonadjacent_pair(gi, chii)
-        if pair is None:
-            raise InvariantViolation(
-                "no non-adjacent pair keeps the factor chromatic number up",
-                {"graph6": emit_graph6(gi), "chi": chii},
-            )
-        ui, vi = pair
+        ui = next(x for x in range(gi.n) if gi.degree(x) < gi.n - 1)
+        vi = next(bits(gi.vertex_mask() & ~gi.adj[ui] & ~(1 << ui)))
         hi, hlift = delete_vertices(gi, (ui, vi))
+        if _chromatic_number(hi) != chii - 1:
+            raise InvariantViolation(
+                "deleting the first non-adjacent pair did not lower chi by one",
+                {"graph6": emit_graph6(gi), "chi": chii, "pair": (ui, vi)},
+            )
         sub = _chi_model(hi, li, chii - 1, trace)
         halves.append(_relabel_model(sub, [lifti[v] for v in hlift]))
         pairs_g.append((lifti[ui], lifti[vi]))
@@ -528,17 +535,3 @@ def _parity_glue_model(g, ell, chi, trace, part1, part2) -> MinorModel:
         + (frozenset((v1, v2)),)
     )
     return MinorModel(clique, independent)
-
-
-def _critical_nonadjacent_pair(gi: Graph, chii: int) -> tuple[int, int] | None:
-    """Lexicographically first non-adjacent pair whose one-by-one and joint
-    deletions all leave chromatic number chii - 1.  The vertices whose
-    deletion alone does that are the Gallai-Edmonds set D of the
-    complement."""
-    singles = _critical_vertices(gi)
-    for x in bits(singles):
-        for y in bits(singles & ~gi.adj[x] & ~((2 << x) - 1)):
-            h, _ = delete_vertices(gi, (x, y))
-            if _chromatic_number(h) == chii - 1:
-                return (x, y)
-    return None

@@ -29,7 +29,6 @@ from .graphs import (
     bits,
     complement,
     connected_component_mask,
-    is_connected_mask,
 )
 from .matching import gallai_edmonds_d, maximum_matching
 
@@ -113,15 +112,11 @@ def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
 
 
 def is_five_wheel(g: Graph) -> bool:
-    """True iff the graph is a five-cycle plus one vertex adjacent to all of it."""
-    if g.n != 6 or sorted(g.degrees()) != [3, 3, 3, 3, 3, 5]:
-        return False
-    hub = max(range(6), key=g.degree)
-    rim = g.vertex_mask() & ~(1 << hub)
-    if not all(g.degree(v) == 3 for v in bits(rim)):
-        return False
-    # The rim must induce a connected 2-regular graph on 5 vertices: a C5.
-    return is_connected_mask(g, rim)
+    """True iff the graph is a five-cycle plus one vertex adjacent to all of it.
+
+    The degrees decide it: the degree-5 hub sees every other vertex, so the
+    rim is 2-regular on five vertices, and the only such graph is C5."""
+    return g.n == 6 and sorted(g.degrees()) == [3, 3, 3, 3, 3, 5]
 
 
 def co_components(g: Graph) -> list[frozenset[int]]:

@@ -101,12 +101,3 @@ def normalized_model(model: MinorModel) -> MinorModel:
     clique = tuple(sorted(model.clique_side, key=sorted))
     indep = tuple(sorted(model.independent_side, key=sorted))
     return MinorModel(clique, indep)
-
-
-def model_to_json(target: CliqueJoinIndependent, model: MinorModel) -> dict:
-    norm = normalized_model(model)
-    return {
-        "target": {"ell": target.ell, "m": target.m},
-        "clique_side": [sorted(s) for s in norm.clique_side],
-        "independent_side": [sorted(s) for s in norm.independent_side],
-    }

@@ -262,6 +262,23 @@ def is_vertex_critical(g: Graph) -> bool:
     )
 
 
+def rim_is_c5(g: Graph) -> bool:
+    """True iff some vertex sees the five others and they induce a five-cycle:
+    the rim's edges are exactly the consecutive pairs of one cyclic order."""
+    if g.n != 6:
+        return False
+    for hub in range(6):
+        rim = [v for v in range(6) if v != hub]
+        if not all(g.has_edge(hub, v) for v in rim):
+            continue
+        edges = {frozenset(e) for e in combinations(rim, 2) if g.has_edge(*e)}
+        for rest in permutations(rim[1:]):
+            order = (rim[0], *rest)
+            if edges == {frozenset((order[i - 1], order[i])) for i in range(5)}:
+                return True
+    return False
+
+
 def brute_packing_exists(g: Graph, count: int) -> bool:
     """Exhaustive disjoint-induced-path packing test over triple combinations."""
     triples = [

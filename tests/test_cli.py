@@ -257,8 +257,16 @@ class TestSweep:
         for argv, message in (("1..12", "capped at n = 11"), ("-1..9", "nonnegative")):
             code, out, err = run(capsys, ["sweep", "--", argv])
             assert code == 2 and out == "" and message in err
-        assert asked == [tuple(range(1, 13)), tuple(range(-1, 10))]
+        assert asked == [tuple(range(1, 13))]
         assert handed == []
+
+    def test_negative_order_fails_with_either_source(self, capsys, tmp_path):
+        src = tmp_path / "c5.g6"
+        src.write_text(C5 + "\n")
+        for source in ([], ["--input", str(src)]):
+            code, out, err = run(capsys, ["sweep", *source, "--", "-1..5"])
+            assert code == 2 and out == ""
+            assert "vertex count must be nonnegative" in err
 
     def test_bad_range(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["sweep", "x..y"])

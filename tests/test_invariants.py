@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,7 @@ from alpha2minor import (
     is_five_wheel,
     maximum_matching,
 )
-from alpha2minor.construct import _critical_nonadjacent_pair
+from alpha2minor.graphs import Graph
 from alpha2minor.invariants import _critical_vertices
 from conftest import random_graph
 from oracles import (
@@ -27,6 +28,7 @@ from oracles import (
     chi_drop_scan,
     doubled_capacity_of_mask,
     is_vertex_critical,
+    rim_is_c5,
     scan_critical_nonadjacent_pair,
 )
 from zoo import clique_join_independent_graph, complete, cycle, join, path
@@ -177,11 +179,20 @@ class TestFiveWheel:
     def test_relabeled_copies_recognized(self, five_wheel):
         from itertools import permutations
 
-        from alpha2minor.graphs import Graph
-
         for perm in list(permutations(range(6)))[:100]:
             edges = [(perm[u], perm[v]) for u, v in five_wheel.edges()]
             assert is_five_wheel(Graph.from_edges(6, edges))
+
+    def test_degrees_decide_on_every_labelled_graph(self):
+        # All 2**15 graphs on six labelled vertices; W5 has
+        # 6!/|Aut W5| = 720/10 = 72 labellings.
+        pairs = list(combinations(range(6), 2))
+        hits = 0
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert is_five_wheel(g) == rim_is_c5(g)
+            hits += is_five_wheel(g)
+        assert hits == 72
 
 
 class TestVertexCritical:
@@ -203,11 +214,18 @@ class TestCriticalVertices:
             for g in universe(n):
                 assert _critical_vertices(g) == chi_drop_scan(g)
 
-    def test_nonadjacent_pair_matches_deletion_scan(self, universe):
+    def test_first_nonadjacent_pair_matches_deletion_scan(self, universe):
+        # ParityGlue deletes a factor's first non-adjacent pair: on every
+        # vertex-critical non-complete graph, that is the scan's pair.
+        checked = 0
         for n in range(1, 10):
             for g in universe(n):
-                chi = chromatic_number_alpha2(g)
-                assert _critical_nonadjacent_pair(g, chi) == scan_critical_nonadjacent_pair(g, chi)
+                if g.is_complete() or chi_drop_scan(g) != g.vertex_mask():
+                    continue
+                first = next(p for p in combinations(range(n), 2) if not g.has_edge(*p))
+                assert first == scan_critical_nonadjacent_pair(g, chromatic_number_alpha2(g))
+                checked += 1
+        assert checked == 193
 
 
 class TestCoComponents:

@@ -5,7 +5,10 @@ import pytest
 from alpha2minor import (
     CliqueJoinIndependent,
     MinorModel,
-    model_to_json,
+    certificate_to_json,
+    chromatic_number_alpha2,
+    construct_chi_minor,
+    construct_half_minor,
     validate_model,
 )
 from conftest import random_graph
@@ -125,26 +128,26 @@ class TestBruteForce:
 
 
 class TestJson:
-    def test_fragment_roundtrip(self, c5):
-        target = CliqueJoinIndependent(1, 2)
-        model = MinorModel((fs(1, 0),), (fs(2), fs(4)))
-        data = model_to_json(target, model)
-        assert data == {
-            "target": {"ell": 1, "m": 2},
-            "clique_side": [[0, 1]],
-            "independent_side": [[2], [4]],
-        }
-        back = MinorModel(
-            tuple(frozenset(s) for s in data["clique_side"]),
-            tuple(frozenset(s) for s in data["independent_side"]),
-        )
-        assert back == MinorModel((fs(0, 1),), (fs(2), fs(4)))
-        assert validate_model(c5, target, back) == []
-
-    def test_complete_target_fragment(self):
-        data = model_to_json(CliqueJoinIndependent(3, 0), MinorModel((fs(0), fs(1), fs(2)), ()))
-        assert data == {
-            "target": {"ell": 3, "m": 0},
-            "clique_side": [[0], [1], [2]],
-            "independent_side": [],
-        }
+    def test_certificate_sides_read_back(self, c5):
+        # The JSON lists the sets of the model the constructor normalized:
+        # sorted sets in sorted sides, which read back to that model.
+        for g in (c5, complete(3)):
+            forms = (
+                ((g.n + 1) // 2, construct_half_minor),
+                (chromatic_number_alpha2(g), construct_chi_minor),
+            )
+            for bound, constructor in forms:
+                for ell in range(1, bound // 2 + 1):
+                    cert = constructor(g, ell)
+                    data = certificate_to_json(cert)
+                    sides = data["model"]
+                    for side in sides.values():
+                        assert side == sorted(side)
+                        assert all(s == sorted(s) for s in side)
+                    back = MinorModel(
+                        tuple(frozenset(s) for s in sides["clique_side"]),
+                        tuple(frozenset(s) for s in sides["independent_side"]),
+                    )
+                    target = CliqueJoinIndependent(**data["target"])
+                    assert (target, back) == (cert.target, cert.model)
+                    assert validate_model(g, target, back) == []
