@@ -3,6 +3,7 @@ import random
 import pytest
 
 from alpha2minor import (
+    Certificate,
     CliqueJoinIndependent,
     MinorModel,
     certificate_to_json,
@@ -11,6 +12,7 @@ from alpha2minor import (
     construct_half_minor,
     validate_model,
 )
+from alpha2minor.minors import normalized_model
 from conftest import random_graph
 from oracles import SearchCapExceeded, find_minor_bruteforce, naive_model_check
 from zoo import clique_join_independent_graph, complete, cycle, path
@@ -127,7 +129,35 @@ class TestBruteForce:
         assert find_minor_bruteforce(cycle(9), CliqueJoinIndependent(4, 0)) is None
 
 
+def _hand_certificate(g, target, model):
+    # A certificate as ``_finish`` stores it: the model normalized.
+    return Certificate(
+        g, target.ell, chromatic_number_alpha2(g), target, normalized_model(model), (), True
+    )
+
+
 class TestJson:
+    def test_fragment_roundtrip(self, c5):
+        target = CliqueJoinIndependent(1, 2)
+        model = MinorModel((fs(1, 0),), (fs(4), fs(2)))
+        data = certificate_to_json(_hand_certificate(c5, target, model))
+        assert data["target"] == {"ell": 1, "m": 2}
+        assert data["model"] == {"clique_side": [[0, 1]], "independent_side": [[2], [4]]}
+        back = MinorModel(
+            tuple(frozenset(s) for s in data["model"]["clique_side"]),
+            tuple(frozenset(s) for s in data["model"]["independent_side"]),
+        )
+        assert back == MinorModel((fs(0, 1),), (fs(2), fs(4)))
+        assert validate_model(c5, target, back) == []
+
+    def test_complete_target_fragment(self):
+        # No constructor emits an m = 0 target; the JSON still holds one.
+        target = CliqueJoinIndependent(3, 0)
+        model = MinorModel((fs(2), fs(0), fs(1)), ())
+        data = certificate_to_json(_hand_certificate(complete(3), target, model))
+        assert data["target"] == {"ell": 3, "m": 0}
+        assert data["model"] == {"clique_side": [[0], [1], [2]], "independent_side": []}
+
     def test_certificate_sides_read_back(self, c5):
         # The JSON lists the sets of the model the constructor normalized:
         # sorted sets in sorted sides, which read back to that model.
