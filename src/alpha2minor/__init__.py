@@ -22,9 +22,7 @@ from .graphs import (
     complement,
     emit_graph6,
     induced_subgraph,
-    is_k_connected,
     parse_graph6,
-    vertex_connectivity,
 )
 from .invariants import (
     alpha_at_most_two,
@@ -32,6 +30,8 @@ from .invariants import (
     clique_number,
     co_components,
     is_five_wheel,
+    is_k_connected,
+    vertex_connectivity,
 )
 from .matching import maximum_matching
 from .minors import (

@@ -29,7 +29,7 @@ import io
 import json
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
@@ -365,20 +365,15 @@ def cmd_sweep(args) -> int:
     graphs = Counter()
     # One record per (n, ell), as the JSON report prints it; ell 0 counts the
     # graphs of order n.
-    records = {}
-
-    def record(n: int, ell: int) -> dict:
-        blank = {"n": n, "ell": ell, "checks": 0, "ok": 0, "failed": 0}
-        return records.setdefault((n, ell), {**blank, "failures": []})
-
+    records = defaultdict(lambda: {"checks": 0, "ok": 0, "failed": 0, "failures": []})
     for n in ns:
-        record(n, 0)
+        records[n, 0]  # a row for every order asked, with or without graphs
     worker = partial(_sweep_graph, bool(args.emit))
     with _cert_writer(args.emit) as write:
         for n, line, rows, certs in _check_lines(worker, universe, args.jobs):
             graphs[n] += 1
             for row in rows:
-                rec = record(n, row.ell)
+                rec = records[n, row.ell]
                 rec["checks"] += 1
                 if row.status == "failed":
                     rec["failed"] += 1
@@ -386,7 +381,7 @@ def cmd_sweep(args) -> int:
                 else:
                     rec["ok"] += 1
             write(certs)
-    records = [{**records[key], "graphs": graphs[key[0]]} for key in sorted(records)]
+    records = [{"n": n, "ell": ell, **rec, "graphs": graphs[n]} for (n, ell), rec in sorted(records.items())]
     if args.format == "json":
         print(json.dumps(records, sort_keys=True, indent=2))
     else:

@@ -25,10 +25,10 @@ from .graphs import (
     delete_vertices,
     emit_graph6,
     induced_subgraph,
-    is_k_connected,
 )
 from .invariants import (
     _chromatic_number,
+    _connectivity,
     _critical_vertices,
     _require_alpha2,
     alpha_at_most_two,
@@ -268,7 +268,7 @@ def _half_fallback(
     (Chudnovsky and Seymour, "Packing seagulls")."""
     k = ceil_half(g.n)
     omega, witness = max_clique(g)
-    if not is_k_connected(g, k):
+    if _connectivity(g, k, k) < k:
         kind, data = "FallbackConnectivity", {"required_connectivity": k}
     elif 4 * omega >= g.n + 3:
         kind, data = "FallbackClique", {"clique_number": omega}

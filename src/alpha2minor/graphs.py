@@ -138,8 +138,6 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
     return is_connected_mask(g, g.vertex_mask())
 
 
@@ -196,115 +194,6 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int
     ``induced_subgraph``."""
     drop = set(vertices)
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
-# -- vertex connectivity -----------------------------------------------
-#
-# ``_connectivity`` counts internally disjoint paths with a unit-capacity
-# max-flow on the vertex-split digraph: vertex v becomes an in-node 2v and an
-# out-node 2v+1 joined by the arc 2v -> 2v+1, and every edge uv becomes the
-# arcs 2u+1 -> 2v and 2v+1 -> 2u.  All capacities are one, so the residual
-# digraph is one bitmask row per node: bit y of row x is set while x -> y has
-# residual capacity.  The pairs follow Even's schedule (Even 1975): a
-# separator of size below k misses one of v_0..v_{k-1}, and some vertex
-# outside it is non-adjacent to that one and cut off from it.
-
-
-def _split_rows(g: Graph) -> list[int]:
-    """Residual rows of the vertex-split digraph before any flow is pushed."""
-    rows = []
-    for v, row in enumerate(g.adj):
-        ins = 0
-        for u in bits(row):
-            ins |= 1 << (2 * u)
-        rows.append(1 << (2 * v + 1))
-        rows.append(ins)
-    return rows
-
-
-def _push(res: list[int], path: list[int]) -> None:
-    """Send one unit along ``path``, flipping each arc into its reverse."""
-    for x, y in zip(path, path[1:]):
-        res[x] &= ~(1 << y)
-        res[y] |= 1 << x
-
-
-def _local_connectivity(g: Graph, split: list[int], s: int, t: int, limit: int) -> int:
-    """The number of internally disjoint paths between non-adjacent ``s`` and
-    ``t``, counted up to ``limit``.
-
-    The paths s-w-t through common neighbours w are disjoint, so they either
-    decide the pair at once or seed the flow; the remaining paths come from
-    breadth-first augmentation on bitmask frontiers."""
-    common = g.adj[s] & g.adj[t]
-    flow = common.bit_count()
-    if flow >= limit:
-        return limit
-    source, sink = 2 * s + 1, 2 * t
-    res = split.copy()
-    for w in bits(common):
-        _push(res, [source, 2 * w, 2 * w + 1, sink])
-    # s_in and t_out lie on no useful path; the source is seen from the start.
-    blocked = (1 << source) | (1 << (2 * s)) | (1 << (2 * t + 1))
-    target = 1 << sink
-    while flow < limit:
-        seen = blocked
-        frontier = 1 << source
-        layers = []
-        while frontier and not frontier & target:
-            layers.append(frontier)
-            nxt = 0
-            for x in bits(frontier):
-                nxt |= res[x]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if not frontier:
-            break
-        path = [sink]
-        for layer in reversed(layers):
-            y = path[-1]
-            path.append(next(x for x in bits(layer) if (res[x] >> y) & 1))
-        path.reverse()
-        _push(res, path)
-        flow += 1
-    return flow
-
-
-def _connectivity(g: Graph, cap: int, need: int) -> int:
-    """min(kappa(G), cap) by one pass over Even's schedule, or any value
-    below ``need`` as soon as the bound falls under it.  The bound starts at
-    min(delta, cap), before the split digraph is built, and drops to any
-    pair's smaller local connectivity, so only the first bound-many vertices
-    are tried.  Complete graphs give min(n-1, cap) and disconnected graphs 0."""
-    bound = min(min(g.degrees(), default=0), cap)
-    if bound < need:
-        return bound
-    split = _split_rows(g)
-    full = g.vertex_mask()
-    i = 0
-    while i < bound:
-        for j in bits(full & ~g.adj[i] & ~((2 << i) - 1)):
-            bound = _local_connectivity(g, split, i, j, bound)
-            if bound < need:
-                return bound
-        i += 1
-    return bound
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Decide kappa(G) >= k, stopping each pair at k paths and the whole scan
-    at the first pair with fewer."""
-    if k <= 0:
-        return True
-    if k == 1:
-        # A connected graph is 1-connected once it has an edge.
-        return g.n >= 2 and is_connected(g)
-    return _connectivity(g, k, k) >= k
-
-
-def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
-    """min(kappa(G), cap), or kappa(G) without ``cap``."""
-    return _connectivity(g, g.n if cap is None else cap, 0)
 
 
 # -- graph6 serialization ----------------------------------------------

@@ -29,6 +29,7 @@ from .graphs import (
     bits,
     complement,
     connected_component_mask,
+    is_connected,
 )
 from .matching import gallai_edmonds_d, maximum_matching
 
@@ -71,6 +72,78 @@ def chromatic_number_alpha2(g: Graph) -> int:
     """Chromatic number, valid only when the independence number is <= 2."""
     _require_alpha2(g)
     return _chromatic_number(g)
+
+
+def _matching_number(adj: tuple[int, ...], left: int, right: int, limit: int) -> int:
+    """Size of a maximum matching between the disjoint vertex masks ``left``
+    and ``right``, counted up to ``limit``, by Kuhn's augmenting paths."""
+    mate = {}
+
+    def augment(u: int) -> bool:
+        nonlocal seen
+        reach = adj[u] & right & ~seen
+        seen |= reach
+        for v in bits(reach):
+            if v not in mate or augment(mate[v]):
+                mate[v] = u
+                return True
+        return False
+
+    for u in bits(left):
+        seen = 0
+        if augment(u) and len(mate) == limit:
+            break
+    return len(mate)
+
+
+def _connectivity(g: Graph, cap: int, need: int) -> int:
+    """min(kappa(G), cap), or any value below ``need`` once the bound falls
+    under it; like ``_chromatic_number``, it skips the alpha <= 2 test.
+
+    For non-adjacent a and b, X = V - N[b] and Y = V - N[a] are disjoint
+    cliques, and kappa(a, b) = n - |X| - |Y| + nu = deg a + deg b + 2 - n + nu,
+    nu the matching number of G's edges between X and Y.  Proof: a minimum
+    a-b separator leaves only A, holding a, and B, holding b, both cliques,
+    since a third part or a non-edge inside one makes an independent triple
+    with a or b; so A lies in X and B in Y.  Anticomplete cliques A in X and
+    B in Y leave the separator V - A - B, and may as well hold a and b, which
+    have no edge across; by Konig's theorem the largest such A + B has
+    |X| + |Y| - nu vertices.  The bound starts at min(delta, cap); a pair is
+    matched only below it, up to it, in Even's order (Even 1975): a separator
+    below the bound misses one of v_0..v_{bound-1}, and cuts it off from a
+    non-neighbour."""
+    degrees = g.degrees()
+    bound = min(min(degrees, default=0), cap)
+    if bound < need:
+        return bound
+    co = complement(g).adj
+    a = 0
+    while a < bound:
+        for b in bits(co[a] & ~((2 << a) - 1)):
+            base = degrees[a] + degrees[b] + 2 - g.n
+            if base < bound:
+                bound = base + _matching_number(g.adj, co[b], co[a], bound - base)
+                if bound < need:
+                    return bound
+        a += 1
+    return bound
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Decide kappa(G) >= k, valid only when the independence number is <= 2."""
+    _require_alpha2(g)
+    if k <= 0:
+        return True
+    if k == 1:
+        # A connected graph is 1-connected once it has an edge.
+        return g.n >= 2 and is_connected(g)
+    return _connectivity(g, k, k) >= k
+
+
+def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
+    """min(kappa(G), cap), or kappa(G) without ``cap``; alpha <= 2 only."""
+    _require_alpha2(g)
+    return _connectivity(g, g.n if cap is None else cap, 0)
 
 
 def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
@@ -143,6 +216,8 @@ __all__ = [
     "clique_number",
     "co_components",
     "is_five_wheel",
+    "is_k_connected",
     "max_clique",
     "minimum_clique_capacity",
+    "vertex_connectivity",
 ]

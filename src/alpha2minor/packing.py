@@ -17,8 +17,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError
-from .graphs import Graph, bits, closed_neighborhood_mask, mask_of, vertex_connectivity
+from .graphs import Graph, bits, closed_neighborhood_mask, mask_of
 from .invariants import (
+    _connectivity,
     _require_alpha2,
     chromatic_number_alpha2,
     is_five_wheel,
@@ -146,7 +147,7 @@ def check_packing_conditions(g: Graph) -> PackingConditionReport:
     return PackingConditionReport(
         size=size,
         # No ell above ``size`` needs kappa.
-        connectivity=vertex_connectivity(g, size),
+        connectivity=_connectivity(g, size, 0),
         min_doubled_capacity=doubled,
         min_capacity_clique=witness,
         # The anti-matching number is the complement's matching number, n - chi.

@@ -29,8 +29,8 @@ from alpha2minor.graphs import (
     delete_vertices,
     induced_subgraph,
     is_connected,
-    is_k_connected,
 )
+from alpha2minor.invariants import is_k_connected
 from alpha2minor.minors import MinorModel
 from alpha2minor.packing import (
     P3Packing,

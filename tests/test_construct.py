@@ -21,7 +21,7 @@ from alpha2minor import (
     select_edge_small_case,
     validate_model,
 )
-from alpha2minor import clique_number, construct, emit_graph6, graphs, invariants, validate_packing
+from alpha2minor import clique_number, construct, emit_graph6, invariants, validate_packing
 from alpha2minor.construct import ceil_half
 from alpha2minor.graphs import Graph, closed_neighborhood_mask, delete_vertices, mask_of
 from alpha2minor.minors import MinorModel
@@ -30,7 +30,7 @@ from alpha2minor.invariants import _complement_matching, _critical_vertices, co_
 from alpha2minor.packing import P3Packing
 from conftest import CIRCULANTS, co_circulant
 from oracles import find_minor_bruteforce
-from zoo import clique_join_independent_graph, complete, cycle, join
+from zoo import clique_join_independent_graph, complete, cycle, join, random_joins
 
 
 # The per-graph decompositions and graph6 texts that every ell of one graph
@@ -90,14 +90,6 @@ def _both_forms_every_ell(universe, max_n: int):
             ):
                 for ell in range(1, bound // 2 + 1):
                     yield form(g, ell)
-
-
-def _random_joins():
-    """Joins of two random_alpha2 factors (seed 0) on 5 to 11 vertices: 119
-    chi-form rows."""
-    for a in range(5, 12):
-        for b in range(a, 12):
-            yield join(random_alpha2(a, 0), random_alpha2(b, 0))
 
 
 def _check_clique_plus_seagulls(data: dict) -> None:
@@ -282,16 +274,18 @@ class TestHalfForm:
         assert "conditions" not in state
 
     def test_connectivity_decided_once_per_graph(self, monkeypatch):
-        # k = ceil(n/2) = 21 does not depend on ell: the split digraph of G
-        # is built for the first ell only.
+        # k = ceil(n/2) = 21 does not depend on ell: kappa >= k is decided
+        # for the first ell only.
         g = random_alpha2(41, 0)
-        built = []
-        split_rows = graphs._split_rows
-        monkeypatch.setattr(graphs, "_split_rows", lambda h: built.append(h) or split_rows(h))
+        asked = []
+        connectivity = construct._connectivity
+        monkeypatch.setattr(
+            construct, "_connectivity", lambda h, cap, need: asked.append(h) or connectivity(h, cap, need)
+        )
         _clear_construct_caches()
         for ell in range(1, ceil_half(g.n) // 2 + 1):
             construct_half_minor(g, ell)
-        assert built.count(g) <= 1
+        assert asked.count(g) == 1
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):
@@ -344,7 +338,7 @@ class TestChiForm:
         # chi = ceil(n/2) on many of these joins, so the chi form delegates to
         # the half form and its complete-minor fallback at up to 22 vertices.
         rows = fallbacks = 0
-        for g in _random_joins():
+        for g in random_joins():
             chi = chromatic_number_alpha2(g)
             for ell in range(1, chi // 2 + 1):
                 cert = construct_chi_minor(g, ell)
@@ -378,7 +372,7 @@ class TestPerGraphCaches:
         # built with cold caches, with warm ones, and for ell in descending
         # order are identical.
         rows = 0
-        for g in _random_joins():
+        for g in random_joins():
             chi = chromatic_number_alpha2(g)
             _assert_cache_invisible(construct_chi_minor, g, chi)
             rows += chi // 2
@@ -398,7 +392,7 @@ class TestPerGraphCaches:
         # every ell again, with the decompositions rebuilt, computes nothing
         # twice.
         invariants = (_complement_matching, max_clique)
-        for g in (random_alpha2(21, 0), *_random_joins()):
+        for g in (random_alpha2(21, 0), *random_joins()):
             bounds = (
                 (construct_half_minor, ceil_half(g.n)),
                 (construct_chi_minor, chromatic_number_alpha2(g)),
@@ -423,7 +417,7 @@ class TestPerGraphCaches:
             "co_components", lambda h: split.append(emit_graph6(h)) or co_components(h)
         )
         total = 0
-        for g in _random_joins():
+        for g in random_joins():
             _clear_construct_caches()
             split.clear()
             certs = [
@@ -446,7 +440,7 @@ class TestPerGraphCaches:
         # once.
         emitted = []
         patch_construct("emit_graph6", lambda h: emitted.append(h) or emit_graph6(h))
-        for g in _random_joins():
+        for g in random_joins():
             _clear_construct_caches()
             emitted.clear()
             for form, bound in (
@@ -484,7 +478,7 @@ class TestPerGraphCaches:
         # packing asks through invariants, as invariants does itself.
         for module in (construct, invariants):
             monkeypatch.setattr(module, "alpha_at_most_two", lambda h: tested.append(h) or alpha(h))
-        for g in _random_joins():
+        for g in random_joins():
             _clear_construct_caches()
             _complement_matching.cache_clear()
             tested.clear()

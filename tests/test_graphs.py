@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from alpha2minor import (
     Graph,
-    graphs,
+    invariants,
     alpha_at_most_two,
     Graph6Error,
     PreconditionError,
@@ -28,7 +28,7 @@ from alpha2minor.graphs import (
 )
 from conftest import co_circulant, isomorphic, random_graph
 from oracles import brute_alpha_at_most_two, brute_vertex_connectivity
-from zoo import complete, cycle, path
+from zoo import complete, cycle, path, petersen, random_joins
 
 graphs_strategy = st.builds(
     random_graph,
@@ -207,29 +207,48 @@ class TestVertexConnectivity:
         assert vertex_connectivity(g) == 0
 
     def test_at_most_min_degree(self):
-        for seed in range(40):
-            g = random_graph(8, 0.4, seed)
-            kappa = vertex_connectivity(g)
-            if g.n:
-                assert kappa <= min(g.degrees()) if not g.is_complete() else True
+        for g in (*random_joins(), *(random_alpha2(n, seed) for n in (8, 9) for seed in range(20))):
+            if not g.is_complete():
+                assert vertex_connectivity(g) <= min(g.degrees()), emit_graph6(g)
 
     def test_agrees_with_separator_oracle_and_fast_path(self):
-        for seed in range(60):
-            g = random_graph(7, 0.45, seed)
+        for g in (*(random_alpha2(7, seed) for seed in range(60)), *_two_cliques(7)):
             kappa = vertex_connectivity(g)
             assert kappa == brute_vertex_connectivity(g)
             for k in range(0, 8):
                 assert is_k_connected(g, k) == (kappa >= k)
 
+    @pytest.mark.parametrize("g", [cycle(6), petersen(), Graph(3, (0, 0, 0))], ids=["C6", "Petersen", "3K1"])
+    def test_independent_triple_raises(self, g):
+        with pytest.raises(PreconditionError):
+            vertex_connectivity(g)
+        for k in (0, 1, 2):
+            with pytest.raises(PreconditionError):
+                is_k_connected(g, k)
 
-def _tree(n: int, seed: int) -> Graph:
-    rng = random.Random(f"tree:{n}:{seed}")
-    return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+def _two_cliques(n: int) -> list[Graph]:
+    """Two disjoint cliques on a and n - a vertices, for 1 <= a <= n // 2."""
+    return [
+        Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u < a) == (v < a)])
+        for a in range(1, n // 2 + 1)
+    ]
 
 
-def _assert_kernel_matches_oracle(graphs) -> None:
+def _networkx_kappa(g: Graph) -> int:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return nx.node_connectivity(ref)
+
+
+def _no_matching(adj, left, right, limit):
+    raise AssertionError(f"matching asked between {left:#x} and {right:#x}")
+
+
+def _assert_kernel_matches_oracle(graphs, oracle=brute_vertex_connectivity) -> None:
     for g in graphs:
-        kappa = brute_vertex_connectivity(g)
+        kappa = oracle(g)
         assert vertex_connectivity(g) == kappa, emit_graph6(g)
         for k in range(g.n + 1):
             assert is_k_connected(g, k) == (kappa >= k), (emit_graph6(g), k)
@@ -237,7 +256,7 @@ def _assert_kernel_matches_oracle(graphs) -> None:
 
 
 class TestConnectivityKernel:
-    """The flow kernel against the separator-scan oracle, for every k."""
+    """The matching kernel against the separator scan or networkx, for every k."""
 
     def test_exhaustive_alpha2_universe(self, universe):
         _assert_kernel_matches_oracle(g for n in range(1, 9) for g in universe(n))
@@ -247,30 +266,32 @@ class TestConnectivityKernel:
             random_alpha2(n, seed) for n in (11, 13) for seed in range(12)
         )
 
-    def test_sparse_graphs(self):
-        # Few common neighbours: the flows augment and cancel arcs.
-        _assert_kernel_matches_oracle(cycle(n) for n in range(3, 12))
-        _assert_kernel_matches_oracle(_tree(n, seed) for n in (2, 7, 11) for seed in range(5))
-        _assert_kernel_matches_oracle(random_graph(10, 0.25, seed) for seed in range(40))
+    def test_joins_and_two_cliques(self):
+        # The joins reach kappa = 13 on 22 vertices, past the separator scan.
+        _assert_kernel_matches_oracle(random_joins(), _networkx_kappa)
+        _assert_kernel_matches_oracle(g for n in range(2, 12) for g in _two_cliques(n))
+
+    def test_matches_networkx_at_larger_orders(self):
+        # Orders the separator scan cannot reach.
+        for n in (21, 31, 41):
+            for seed in range(3):
+                g = random_alpha2(n, seed)
+                kappa = _networkx_kappa(g)
+                assert vertex_connectivity(g) == kappa, emit_graph6(g)
+                assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
 
     def test_one_connected_is_connected(self, universe, monkeypatch):
-        # k = 1 is the connectivity test, with no flow; K_1 is connected but,
-        # with kappa(K_n) = n - 1, not 1-connected.
-        def no_flow(g):
-            raise AssertionError(f"split digraph built for {emit_graph6(g)}")
-
-        monkeypatch.setattr(graphs, "_split_rows", no_flow)
+        # k = 1 is the connectivity test, with no matching; K_1 is connected
+        # but, with kappa(K_n) = n - 1, not 1-connected.
+        monkeypatch.setattr(invariants, "_matching_number", _no_matching)
         for n in range(1, 8):
             for g in universe(n):
                 assert is_k_connected(g, 1) == (is_connected(g) and n >= 2)
 
-    def test_min_degree_below_k_builds_no_flow(self, universe, monkeypatch):
-        # kappa <= delta, so k > delta is decided before the split digraph:
-        # the half-form fallback asks k = ceil(n/2), usually above delta.
-        def no_flow(g):
-            raise AssertionError(f"split digraph built for {emit_graph6(g)}")
-
-        monkeypatch.setattr(graphs, "_split_rows", no_flow)
+    def test_min_degree_below_k_matches_nothing(self, universe, monkeypatch):
+        # kappa <= delta, so k > delta is decided before any matching: the
+        # half-form fallback asks k = ceil(n/2), usually above delta.
+        monkeypatch.setattr(invariants, "_matching_number", _no_matching)
         for n in range(1, 8):
             for g in universe(n):
                 assert not is_k_connected(g, min(g.degrees()) + 1)

@@ -10,9 +10,8 @@ from alpha2minor import (
     random_alpha2,
     validate_packing,
 )
-from alpha2minor import graphs
 from alpha2minor.graphs import Graph, emit_graph6, parse_graph6
-from alpha2minor.invariants import minimum_clique_capacity
+from alpha2minor.invariants import _connectivity, minimum_clique_capacity
 from alpha2minor.packing import P3Packing, uncovered_outside_neighborhood
 from oracles import (
     brute_chromatic_number,
@@ -109,15 +108,17 @@ class TestConditions:
         with pytest.raises(PreconditionError):
             check_packing_conditions(cycle(6))
 
-    def test_split_digraph_built_once(self, universe, monkeypatch):
+    def test_connectivity_pass_run_once(self, universe, monkeypatch):
         # kappa comes from one capped pass, not one test per candidate bound;
         # from n = 9 on, the bound n // 3 reaches 3.
-        built = Counter()
-        split = graphs._split_rows
-        monkeypatch.setattr(graphs, "_split_rows", lambda g: built.update([g]) or split(g))
+        passes = Counter()
+        monkeypatch.setattr(
+            "alpha2minor.packing._connectivity",
+            lambda g, cap, need: passes.update([g]) or _connectivity(g, cap, need),
+        )
         for g in universe(9):
             check_packing_conditions(g)
-        assert built and max(built.values()) == 1
+        assert len(passes) == len(universe(9)) and max(passes.values()) == 1
 
     def test_negative_size(self, c5):
         with pytest.raises(PreconditionError):

@@ -1,6 +1,7 @@
 """Small labelled graphs that the tests build by name."""
 
 from alpha2minor.errors import PreconditionError
+from alpha2minor.generate import random_alpha2
 from alpha2minor.graphs import Graph, complement
 
 
@@ -57,3 +58,11 @@ def join(g: Graph, h: Graph) -> Graph:
     for v in range(h.n):
         rows.append((h.adj[v] << g.n) | lo_mask)
     return Graph(n, tuple(rows))
+
+
+def random_joins():
+    """Joins of two random_alpha2 factors (seed 0) on 5 to 11 vertices: 28
+    graphs, with 119 chi-form rows."""
+    for a in range(5, 12):
+        for b in range(a, 12):
+            yield join(random_alpha2(a, 0), random_alpha2(b, 0))
