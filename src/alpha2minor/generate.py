@@ -58,8 +58,6 @@ def _extend_with_vertex(g: Graph, nbr_mask: int) -> Graph:
 def _orbit_representatives(masks: list[int], gens) -> list[int]:
     """The first mask of each orbit of ``masks`` under the vertex
     permutations ``gens``, which must map ``masks`` onto itself."""
-    if not gens:
-        return masks
     seen: set[int] = set()
     reps = []
     for mask in masks:

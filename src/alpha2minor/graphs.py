@@ -40,6 +40,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        # Rows stored as a tuple, so that the graph hashes for the caches.
+        object.__setattr__(self, "adj", tuple(self.adj))
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
@@ -137,10 +139,6 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
     return connected_component_mask(g, start, mask) == mask
 
 
-def is_connected(g: Graph) -> bool:
-    return is_connected_mask(g, g.vertex_mask())
-
-
 # -- the core operations -----------------------------------------------
 
 
@@ -193,6 +191,8 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int
     """Induced subgraph on the complement of ``vertices``, with its lift as in
     ``induced_subgraph``."""
     drop = set(vertices)
+    if drop and not (0 <= min(drop) and max(drop) < g.n):
+        raise PreconditionError("vertex out of range")
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
 
 

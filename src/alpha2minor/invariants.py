@@ -24,13 +24,7 @@ from functools import lru_cache
 
 from .cliques import clique_number, max_clique
 from .errors import PreconditionError
-from .graphs import (
-    Graph,
-    bits,
-    complement,
-    connected_component_mask,
-    is_connected,
-)
+from .graphs import Graph, bits, complement, connected_component_mask
 from .matching import gallai_edmonds_d, maximum_matching
 
 
@@ -132,11 +126,6 @@ def _connectivity(g: Graph, cap: int, need: int) -> int:
 def is_k_connected(g: Graph, k: int) -> bool:
     """Decide kappa(G) >= k, valid only when the independence number is <= 2."""
     _require_alpha2(g)
-    if k <= 0:
-        return True
-    if k == 1:
-        # A connected graph is 1-connected once it has an edge.
-        return g.n >= 2 and is_connected(g)
     return _connectivity(g, k, k) >= k
 
 

@@ -53,20 +53,6 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
     while queue and len(cells) < n:
         w = queue.pop()
         i = 0
-        if not w & (w - 1):
-            # One splitter vertex: a cell splits into non-neighbours, neighbours.
-            wrow = adj[w.bit_length() - 1]
-            while i < len(cells):
-                c = cells[i]
-                inside = c & wrow
-                if inside and inside != c:
-                    outside = c ^ inside
-                    cells[i : i + 1] = (outside, inside)
-                    queue.append(inside if outside.bit_count() >= inside.bit_count() else outside)
-                    i += 2
-                else:
-                    i += 1
-            continue
         while i < len(cells):
             c = cells[i]
             if not c & (c - 1):

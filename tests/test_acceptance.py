@@ -28,7 +28,7 @@ from alpha2minor.graphs import (
     closed_neighborhood_mask,
     delete_vertices,
     induced_subgraph,
-    is_connected,
+    is_connected_mask,
 )
 from alpha2minor.invariants import is_k_connected
 from alpha2minor.minors import MinorModel
@@ -169,7 +169,7 @@ def test_criterion_6_edge_recipe(universe):
                     continue
             else:
                 ell = omega
-            if not is_connected(g):
+            if not is_connected_mask(g, g.vertex_mask()):
                 # two disjoint cliques: no pair at distance two exists, the
                 # recipe cannot apply and must say so loudly
                 with pytest.raises(InvariantViolation):

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from alpha2minor import (
+    certificate_to_json,
     chromatic_number_alpha2,
     cli,
+    construct_chi_minor,
     emit_graph6,
     enumerate_alpha2,
     parse_graph6,
@@ -548,6 +550,21 @@ class TestEmit:
                 main(["verify", str(src), "--emit", str(emit), "--jobs", jobs])
             assert [path.name for path in emit.iterdir()] == [_cert_name(C5, 1, "chi")]
             assert multiprocessing.active_children() == []
+
+    def test_writer_serializes_the_dicts(self, capsys, tmp_path):
+        # Workers hand over certificate dicts; only the writer makes text.
+        c5 = cycle(5)
+        cert = certificate_to_json(construct_chi_minor(c5, 1))
+        rows, certs = cli._construct_rows(("chi",), None, True, c5, C5)
+        assert rows == [cli.Row(1, "chi", "ok")]
+        assert certs == [((C5, 1, "chi"), cert)]
+        src = tmp_path / "in.g6"
+        src.write_text(C5 + "\n")
+        emit = tmp_path / "certs"
+        code, _, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
+        assert code == 0
+        text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
+        assert (emit / _cert_name(C5, 1, "chi")).read_text() == text
 
     def test_only_the_writer_loads_openssl(self, tmp_path):
         # The writer names the files from the lines' sha256, so the main

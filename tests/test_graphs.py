@@ -8,6 +8,7 @@ from alpha2minor import (
     Graph,
     invariants,
     alpha_at_most_two,
+    chromatic_number_alpha2,
     Graph6Error,
     PreconditionError,
     complement,
@@ -23,7 +24,7 @@ from alpha2minor.graphs import (
     _graph_unchecked,
     closed_neighborhood_mask,
     delete_vertices,
-    is_connected,
+    is_connected_mask,
     mask_of,
 )
 from conftest import co_circulant, isomorphic, random_graph
@@ -61,6 +62,13 @@ class TestGraphType:
             Graph.from_edges(2, [(1, 1)])
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_list_rows_stored_as_tuple(self):
+        # A list of rows would leave the graph unhashable for the caches.
+        g = Graph(3, [6, 5, 3])
+        assert g.adj == (6, 5, 3)
+        assert g == parse_graph6("Bw")
+        assert chromatic_number_alpha2(g) == 3
 
     def test_derived_graphs_equal_checked_construction(self):
         rng = random.Random(7)
@@ -129,6 +137,10 @@ class TestInducedSubgraph:
     def test_out_of_range(self, c5):
         with pytest.raises(PreconditionError):
             induced_subgraph(c5, [0, 7])
+        # Deleting a vertex that is not there is an error too, not a no-op.
+        for vertex in (99, -1, 5):
+            with pytest.raises(PreconditionError, match="vertex out of range"):
+                delete_vertices(c5, [vertex])
 
     @settings(max_examples=120, derandomize=True)
     @given(graphs_strategy, st.integers(min_value=0, max_value=10**6))
@@ -250,7 +262,8 @@ def _assert_kernel_matches_oracle(graphs, oracle=brute_vertex_connectivity) -> N
     for g in graphs:
         kappa = oracle(g)
         assert vertex_connectivity(g) == kappa, emit_graph6(g)
-        for k in range(g.n + 1):
+        # k = -1 and n + 1 are past both ends of kappa's range.
+        for k in range(-1, g.n + 2):
             assert is_k_connected(g, k) == (kappa >= k), (emit_graph6(g), k)
             assert vertex_connectivity(g, k) == min(kappa, k), (emit_graph6(g), k)
 
@@ -280,13 +293,12 @@ class TestConnectivityKernel:
                 assert vertex_connectivity(g) == kappa, emit_graph6(g)
                 assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
 
-    def test_one_connected_is_connected(self, universe, monkeypatch):
-        # k = 1 is the connectivity test, with no matching; K_1 is connected
-        # but, with kappa(K_n) = n - 1, not 1-connected.
-        monkeypatch.setattr(invariants, "_matching_number", _no_matching)
+    def test_one_connected_is_connected(self, universe):
+        # K_1 is connected but, with kappa(K_n) = n - 1, not 1-connected.
         for n in range(1, 8):
             for g in universe(n):
-                assert is_k_connected(g, 1) == (is_connected(g) and n >= 2)
+                connected = is_connected_mask(g, g.vertex_mask())
+                assert is_k_connected(g, 1) == (connected and n >= 2)
 
     def test_min_degree_below_k_matches_nothing(self, universe, monkeypatch):
         # kappa <= delta, so k > delta is decided before any matching: the
@@ -366,6 +378,6 @@ def test_delete_vertices_and_connectivity_helpers(c5):
     h, lift = delete_vertices(c5, (0,))
     assert h == path(4)
     assert lift == (1, 2, 3, 4)
-    assert is_connected(c5)
-    assert not is_connected(Graph.from_edges(2, []))
+    assert is_connected_mask(c5, c5.vertex_mask())
+    assert not is_connected_mask(Graph.from_edges(2, []), 0b11)
     assert mask_of([0, 2]) == 0b101
