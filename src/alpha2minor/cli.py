@@ -12,15 +12,14 @@ Reports are byte-deterministic for fixed inputs, flags and seeds: workers
 return plain data, and results are reassembled in input order.  With
 ``--emit``, ``verify`` and ``sweep`` start one writer process, which creates
 the certificate files while rows are still being computed; each graph's
-certificates go to it, as dicts, as soon as its worker returns them.  The
-writer serializes each certificate and names its file from the sha256 of its
-graph6 line; it is the only process that imports ``hashlib``, so no other
-process loads OpenSSL.  The writer is joined before the report is printed,
-and a failed ``mkdir`` or write ends the subcommand with a usage error and no
-report.  ``main`` writes the one wall-clock line, ``<command>: N.NNs wall``,
-to stderr after any subcommand that did not fail with a usage error, ``gen``
-included.  Exit codes: 0 all succeeded, 1 at least one failure, 2 usage or
-I/O error.
+certificates go to it as soon as its worker returns them.  The writer names
+each file from the sha256 of its graph6 line, and is the only process that
+imports ``hashlib``, so no other process loads OpenSSL.  The writer is
+joined before the report is printed, and a failed ``mkdir`` or write ends the
+subcommand with a usage error and no report.  ``main`` writes the one
+wall-clock line, ``<command>: N.NNs wall``, to stderr after any subcommand
+that did not fail with a usage error, ``gen`` included.  Exit codes: 0 all
+succeeded, 1 at least one failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -77,12 +76,12 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
 
 
 def _write_certs(conn, parent_end, out: Path) -> None:
-    """The writer process: for each ((graph6 line, ell, form), certificate
-    dict) pair received on ``conn``, write the dict as sorted, indented JSON
-    to ``<hash>_ell<ell>_<form>.json`` under ``out``, where the hash is the
-    first 16 hex digits of the line's sha256, until ``None`` arrives; then
-    send back the text of the first failed write, or ``None``.  After a
-    failure it writes nothing more and only drains the stream."""
+    """The writer process: for each ((graph6 line, ell, form), JSON text)
+    pair received on ``conn``, create ``<hash>_ell<ell>_<form>.json`` under
+    ``out``, where the hash is the first 16 hex digits of the line's sha256,
+    until ``None`` arrives; then send back the text of the first failed
+    write, or ``None``.  After a failure it writes nothing more and only
+    drains the stream."""
     # Imported here: only this process names files, and OpenSSL behind
     # hashlib costs every other process memory.
     from hashlib import sha256
@@ -95,9 +94,8 @@ def _write_certs(conn, parent_end, out: Path) -> None:
         while (certs := conn.recv()) is not None:
             if error is None:
                 try:
-                    for (line, ell, form), cert in certs:
+                    for (line, ell, form), text in certs:
                         digest = sha256(line.encode()).hexdigest()[:16]
-                        text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
                         (out / f"{digest}_ell{ell}_{form}.json").write_text(text)
                 except OSError as exc:
                     error = str(exc)
@@ -109,7 +107,7 @@ def _write_certs(conn, parent_end, out: Path) -> None:
 @contextmanager
 def _cert_writer(emit_dir: str | None):
     """Yield a function that takes one graph's ((graph6 line, ell, form),
-    certificate dict) pairs.
+    JSON text) pairs.
 
     With ``emit_dir``, the directory is made first, then one writer process,
     started like the ``--jobs`` pool's workers, creates the files while the
@@ -130,7 +128,7 @@ def _cert_writer(emit_dir: str | None):
     writer.start()
     writer_end.close()
 
-    def write(certs: list[tuple[tuple[str, int, str], dict]]) -> None:
+    def write(certs: list[tuple[tuple[str, int, str], str]]) -> None:
         if certs:
             conn.send(certs)
 
@@ -165,8 +163,8 @@ def _construct_rows(
 ) -> tuple[list[Row], list]:
     """One row per (form, ell), every admissible ell when ``ells`` is None;
     a constructor's error becomes a failed row.  With ``want_certs``, also
-    ((line, ell, form), ``certificate_to_json`` dict) for each ok row's
-    certificate; the writer serializes and names its file."""
+    ((line, ell, form), JSON text) for each ok row's certificate; the writer
+    names its file."""
     rows = []
     certs = []
     for form in forms:
@@ -185,7 +183,8 @@ def _construct_rows(
                 continue
             rows.append(Row(ell, form, "ok"))
             if want_certs:
-                certs.append(((line, ell, form), certificate_to_json(cert)))
+                text = json.dumps(certificate_to_json(cert), sort_keys=True, indent=2)
+                certs.append(((line, ell, form), text + "\n"))
     return rows, certs
 
 

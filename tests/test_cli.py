@@ -551,19 +551,20 @@ class TestEmit:
             assert [path.name for path in emit.iterdir()] == [_cert_name(C5, 1, "chi")]
             assert multiprocessing.active_children() == []
 
-    def test_writer_serializes_the_dicts(self, capsys, tmp_path):
-        # Workers hand over certificate dicts; only the writer makes text.
+    def test_emitted_file_is_the_sorted_indented_certificate(self, capsys, tmp_path):
+        # Workers hand over each certificate's text; the writer only names
+        # the file and writes the text unchanged.
         c5 = cycle(5)
         cert = certificate_to_json(construct_chi_minor(c5, 1))
+        text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
         rows, certs = cli._construct_rows(("chi",), None, True, c5, C5)
         assert rows == [cli.Row(1, "chi", "ok")]
-        assert certs == [((C5, 1, "chi"), cert)]
+        assert certs == [((C5, 1, "chi"), text)]
         src = tmp_path / "in.g6"
         src.write_text(C5 + "\n")
         emit = tmp_path / "certs"
         code, _, _ = run(capsys, ["verify", str(src), "--emit", str(emit)])
         assert code == 0
-        text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
         assert (emit / _cert_name(C5, 1, "chi")).read_text() == text
 
     def test_only_the_writer_loads_openssl(self, tmp_path):
