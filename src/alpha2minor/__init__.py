@@ -30,7 +30,6 @@ from .invariants import (
     clique_number,
     co_components,
     is_five_wheel,
-    is_k_connected,
     vertex_connectivity,
 )
 from .matching import maximum_matching

@@ -14,9 +14,6 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
     Branch and bound: candidates are greedily colored and a branch is cut when
     its color count cannot beat the incumbent.  Deterministic witness.
     """
-    n = g.n
-    if n == 0:
-        return 0, frozenset()
     best_size = 0
     best_mask = 0
 

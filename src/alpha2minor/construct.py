@@ -28,7 +28,6 @@ from .graphs import (
 )
 from .invariants import (
     _chromatic_number,
-    _connectivity,
     _critical_vertices,
     _require_alpha2,
     alpha_at_most_two,
@@ -59,9 +58,9 @@ def ceil_half(n: int) -> int:
 # Every kind of step a certificate's trace can record: the half form's, then
 # those only the chromatic form takes.
 TRACE_KINDS = (
-    "CliqueDirect", "DeleteVertexEven", "FallbackConnectivity", "FallbackClique",
-    "PackAndContract", "SmallCaseEdge", "MaxDegreeStar", "DelegateHalf",
-    "DeleteNoncriticalVertex", "JoinDecompose", "CliqueAbsorb", "ParityGlue",
+    "CliqueDirect", "DeleteVertexEven", "FallbackClique", "PackAndContract",
+    "SmallCaseEdge", "MaxDegreeStar", "DelegateHalf", "DeleteNoncriticalVertex",
+    "JoinDecompose", "CliqueAbsorb", "ParityGlue",
 )
 
 
@@ -178,6 +177,8 @@ def select_edge_small_case(g: Graph, ell: int) -> tuple[int, int]:
     disconnected graphs with independence number two are two disjoint cliques,
     where no candidate exists and the failure is reported loudly.
     """
+    if ell < 1:
+        raise PreconditionError("need ell >= 1")
     _require_alpha2(g)
     if g.is_complete():
         raise PreconditionError("complete graph has no non-adjacent pair")
@@ -255,10 +256,16 @@ def _half_fallback(
     g: Graph,
 ) -> tuple[TraceStep, tuple[frozenset[int], ...]] | None:
     """The half form's branch for an odd non-complete graph, which does not
-    depend on ell: ``None`` when kappa >= k = ceil(n/2) and 4*omega < n + 3,
-    so that paths are packed; otherwise the recorded fallback step, which
-    every certificate built from this cache entry shares, and the branch sets
-    of a K_k, whose first ell sets form the clique side.
+    depend on ell: ``None`` when 4*omega < n + 3, so that paths are packed;
+    otherwise the recorded ``FallbackClique`` step, which every certificate
+    built from this cache entry shares, and the branch sets of a K_k,
+    k = ceil(n/2), whose first ell sets form the clique side.
+
+    This also covers the paper's other fallback, kappa < k: a separator S
+    with |S| < k leaves anticomplete cliques A and B, |A| + |B| >= k, and
+    each s in S is complete to A or to B (else s and a non-neighbour in each
+    are independent), so omega >= max(|A|, |B|) + [|A| = |B|] >= (k + 1) / 2,
+    S being nonempty when |A| = |B| as n is odd: 4*omega >= n + 3.
 
     The K_k comes from a maximum clique W, truncated to k vertices, plus
     k - |W| disjoint induced 3-vertex paths ("seagulls") in G - W.  A
@@ -268,11 +275,7 @@ def _half_fallback(
     (Chudnovsky and Seymour, "Packing seagulls")."""
     k = ceil_half(g.n)
     omega, witness = max_clique(g)
-    if _connectivity(g, k, k) < k:
-        kind, data = "FallbackConnectivity", {"required_connectivity": k}
-    elif 4 * omega >= g.n + 3:
-        kind, data = "FallbackClique", {"clique_number": omega}
-    else:
+    if 4 * omega < g.n + 3:
         return None
     clique = sorted(witness)[:k]
     h, lift = delete_vertices(g, clique)
@@ -291,7 +294,7 @@ def _half_fallback(
         raise InvariantViolation("seagull packing beside the clique not found", state)
     triples = [[lift[v] for v in t] for t in packing.triples]
     sets = tuple(frozenset((v,)) for v in clique) + tuple(frozenset(t) for t in triples)
-    return _step(kind, g, **data, clique=clique, triples=triples), sets
+    return _step("FallbackClique", g, clique_number=omega, clique=clique, triples=triples), sets
 
 
 def _small_case_model(g: Graph, ell: int, trace: list[TraceStep]) -> MinorModel:

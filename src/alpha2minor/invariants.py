@@ -90,9 +90,8 @@ def _matching_number(adj: tuple[int, ...], left: int, right: int, limit: int) ->
     return len(mate)
 
 
-def _connectivity(g: Graph, cap: int, need: int) -> int:
-    """min(kappa(G), cap), or any value below ``need`` once the bound falls
-    under it; like ``_chromatic_number``, it skips the alpha <= 2 test.
+def _connectivity(g: Graph, cap: int) -> int:
+    """min(kappa(G), cap); like ``_chromatic_number``, it skips the alpha test.
 
     For non-adjacent a and b, X = V - N[b] and Y = V - N[a] are disjoint
     cliques, and kappa(a, b) = n - |X| - |Y| + nu = deg a + deg b + 2 - n + nu,
@@ -108,8 +107,6 @@ def _connectivity(g: Graph, cap: int, need: int) -> int:
     non-neighbour."""
     degrees = g.degrees()
     bound = min(min(degrees, default=0), cap)
-    if bound < need:
-        return bound
     co = complement(g).adj
     a = 0
     while a < bound:
@@ -117,22 +114,14 @@ def _connectivity(g: Graph, cap: int, need: int) -> int:
             base = degrees[a] + degrees[b] + 2 - g.n
             if base < bound:
                 bound = base + _matching_number(g.adj, co[b], co[a], bound - base)
-                if bound < need:
-                    return bound
         a += 1
     return bound
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Decide kappa(G) >= k, valid only when the independence number is <= 2."""
-    _require_alpha2(g)
-    return _connectivity(g, k, k) >= k
 
 
 def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     """min(kappa(G), cap), or kappa(G) without ``cap``; alpha <= 2 only."""
     _require_alpha2(g)
-    return _connectivity(g, g.n if cap is None else cap, 0)
+    return _connectivity(g, g.n if cap is None else cap)
 
 
 def minimum_clique_capacity(g: Graph) -> tuple[int, frozenset[int]]:
@@ -205,7 +194,6 @@ __all__ = [
     "clique_number",
     "co_components",
     "is_five_wheel",
-    "is_k_connected",
     "max_clique",
     "minimum_clique_capacity",
     "vertex_connectivity",

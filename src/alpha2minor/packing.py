@@ -83,8 +83,6 @@ def find_p3_packing(g: Graph, count: int) -> P3Packing | None:
     """
     if count < 0:
         raise PreconditionError("packing size must be nonnegative")
-    if count == 0:
-        return P3Packing(())
     if 3 * count > g.n:
         return None
     failed: set[tuple[int, int]] = set()
@@ -147,7 +145,7 @@ def check_packing_conditions(g: Graph) -> PackingConditionReport:
     return PackingConditionReport(
         size=size,
         # No ell above ``size`` needs kappa.
-        connectivity=_connectivity(g, size, 0),
+        connectivity=_connectivity(g, size),
         min_doubled_capacity=doubled,
         min_capacity_clique=witness,
         # The anti-matching number is the complement's matching number, n - chi.

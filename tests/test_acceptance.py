@@ -30,7 +30,7 @@ from alpha2minor.graphs import (
     induced_subgraph,
     is_connected_mask,
 )
-from alpha2minor.invariants import is_k_connected
+from alpha2minor.invariants import vertex_connectivity
 from alpha2minor.minors import MinorModel
 from alpha2minor.packing import (
     P3Packing,
@@ -126,7 +126,7 @@ def test_criterion_4_packing_guarantee(universe):
 
 
 def _guarantee_cases(g, n, failures) -> int:
-    if not is_k_connected(g, (n + 2) // 4):
+    if vertex_connectivity(g, (n + 2) // 4) < (n + 2) // 4:
         return 0
     if clique_number(g) >= ceil_half(n):
         return 0

@@ -636,10 +636,10 @@ RANDOM_JOIN_FACTORS = tuple(
 )
 
 GOLDEN = {
-    "sweep_1_7": "f108b62f06cdefde789c844b356eca14cd520d0a9129413bbd2b6799b476791c",
-    "verify_half_random_11": "afac72b55d89486afb3fe90236e9d137f1d00e46e4ee60ae0c38ae5cea5ae2f3",
+    "sweep_1_7": "0760d7d50052a07248c4a7383ef9d310d8366a4d96a8f0e12dfb3aa073e8bbdf",
+    "verify_half_random_11": "b6a5c02e2515827c2fa7fcffae966176a7101993b776d7f01ff7173b2736c57b",
     "verify_chi_joins": "2d10d9f16c7fbd3b22badc22bfdd4b93e800fe1e345fe4d2ca4b906108ccc5c6",
-    "verify_chi_random_joins": "158f4c7a61168f46e37dcdbcc9a130e2998201a3d7f10930e3fc780c6dc5eaf8",
+    "verify_chi_random_joins": "dcf58a6383a962ac0c023d6d913fc5c5ed5cee4a1a723aa18779fba86afbd57d",
     "enumerate_8": "8469a0488cf2426b76699f29281a8e0e02a6c25f7f7f38df7b514566fb2f834c",
     "enumerate_9": "27cd39ab67d854cf0d7ea8bf84629577cf8fe4cbf6ce2d4add4d65b553a42450",
     "enumerate_10": "6b8dacc7577627c2e4d5c3d086d2f95bcc0395ab94bacddcd3ab85de4bbda4b2",

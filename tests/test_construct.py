@@ -20,6 +20,7 @@ from alpha2minor import (
     random_alpha2,
     select_edge_small_case,
     validate_model,
+    vertex_connectivity,
 )
 from alpha2minor import clique_number, construct, emit_graph6, invariants, validate_packing
 from alpha2minor.construct import ceil_half
@@ -95,10 +96,11 @@ def _both_forms_every_ell(universe, max_n: int):
 def _check_clique_plus_seagulls(data: dict) -> None:
     """A fallback step's K_k: singletons of a clique W, as large as the step
     graph allows up to k, plus induced 3-vertex paths in G - W that each
-    dominate G."""
+    dominate G; the step is taken exactly when 4*omega >= n + 3."""
     h = parse_graph6(data["graph6"])
     k = ceil_half(h.n)
     clique, triples = data["clique"], data["triples"]
+    assert data["clique_number"] == clique_number(h) and 4 * clique_number(h) >= h.n + 3
     assert len(clique) == min(k, clique_number(h))
     assert all(h.has_edge(u, v) for u in clique for v in clique if u < v)
     assert len(clique) + len(triples) == k
@@ -148,6 +150,12 @@ class TestSelectEdge:
         with pytest.raises(InvariantViolation):
             select_edge_small_case(c5, 1)
 
+    def test_ell_below_one_is_a_precondition(self, c5):
+        # A caller error, not a finding: no InvariantViolation and no dump.
+        for ell in (0, -1):
+            with pytest.raises(PreconditionError, match="ell >= 1"):
+                select_edge_small_case(c5, ell)
+
     def test_disconnected_two_cliques_raise(self):
         # The only disconnected graphs with independence number two are two
         # disjoint cliques; they have no pair at distance two, so the recipe
@@ -193,7 +201,7 @@ class TestHalfForm:
         steps = 0
         for cert in _both_forms_every_ell(universe, 9):
             for step in cert.trace:
-                if step.kind.startswith("Fallback"):
+                if step.kind == "FallbackClique":
                     _check_clique_plus_seagulls(step.data)
                     steps += 1
         assert steps > 1000
@@ -216,7 +224,7 @@ class TestHalfForm:
             for name in removed:
                 assert not hasattr(module, name), (module.__name__, name)
         fallbacks = sum(
-            any(s.kind.startswith("Fallback") for s in cert.trace)
+            any(s.kind == "FallbackClique" for s in cert.trace)
             for cert in _both_forms_every_ell(universe, 8)
         )
         assert fallbacks > 100
@@ -225,7 +233,7 @@ class TestHalfForm:
         g = next(
             h
             for h in (random_alpha2(11, seed) for seed in range(50))
-            if construct_half_minor(h, 1).trace[0].kind == "FallbackConnectivity"
+            if construct_half_minor(h, 1).trace[0].kind == "FallbackClique"
         )
         patch_construct("find_p3_packing", lambda h, count: None)
         with pytest.raises(InvariantViolation, match="seagull") as exc:
@@ -263,7 +271,7 @@ class TestHalfForm:
         g = next(
             h
             for h in (random_alpha2(61, seed) for seed in range(10))
-            if construct_half_minor(h, 1).trace[0].kind.startswith("Fallback")
+            if construct_half_minor(h, 1).trace[0].kind == "FallbackClique"
         )
         patch_construct("find_p3_packing", lambda h, count: None)
         with pytest.raises(InvariantViolation, match="seagull") as exc:
@@ -273,19 +281,34 @@ class TestHalfForm:
         assert state["seagulls"] == 31 - len(state["clique"]) > 0
         assert "conditions" not in state
 
-    def test_connectivity_decided_once_per_graph(self, monkeypatch):
-        # k = ceil(n/2) = 21 does not depend on ell: kappa >= k is decided
-        # for the first ell only.
-        g = random_alpha2(41, 0)
-        asked = []
-        connectivity = construct._connectivity
-        monkeypatch.setattr(
-            construct, "_connectivity", lambda h, cap, need: asked.append(h) or connectivity(h, cap, need)
-        )
+    def test_low_connectivity_forces_a_large_clique(self, universe):
+        # The paper's fallback on kappa < ceil(n/2) lies inside the one on
+        # 4*omega >= n + 3, so the half form asks omega only.
+        graphs = [g for n in range(1, 10, 2) for g in universe(n) if not g.is_complete()]
+        graphs += [random_alpha2(n, seed) for n in range(11, 42, 2) for seed in range(32)]
+        low = 0
+        for g in graphs:
+            k = ceil_half(g.n)
+            if vertex_connectivity(g, k) < k:
+                low += 1
+                assert 4 * clique_number(g) >= g.n + 3, emit_graph6(g)
+        assert len(graphs) == 2017 + 512 and low > 1000
+
+    def test_no_constructor_asks_connectivity(self, universe, monkeypatch):
+        def refuse(g, cap):
+            raise AssertionError(f"connectivity asked of {emit_graph6(g)}")
+
+        # ``from .invariants import _connectivity`` copies the name, so every
+        # module of the package that holds it is patched.
+        assert not hasattr(construct, "_connectivity")
+        for module in ("invariants", "packing"):
+            monkeypatch.setattr(f"alpha2minor.{module}._connectivity", refuse)
         _clear_construct_caches()
-        for ell in range(1, ceil_half(g.n) // 2 + 1):
-            construct_half_minor(g, ell)
-        assert asked.count(g) == 1
+        certs = list(_both_forms_every_ell(universe, 7))
+        for g in (co_circulant(n, steps) for n, steps in CIRCULANTS):
+            certs += [construct_half_minor(g, ell) for ell in range(1, ceil_half(g.n) // 2 + 1)]
+            certs += [construct_chi_minor(g, ell) for ell in range(1, chromatic_number_alpha2(g) // 2 + 1)]
+        assert any(step.kind == "FallbackClique" for cert in certs for step in cert.trace)
 
     def test_preconditions(self, c5):
         with pytest.raises(PreconditionError):
@@ -566,7 +589,7 @@ class TestCertificates:
                     append_to_lists(item)
 
         first = certificate_to_json(construct_half_minor(g, 1))
-        assert first["trace"][-1]["kind"] == "FallbackConnectivity"
+        assert first["trace"][-1]["kind"] == "FallbackClique"
         for step in first["trace"]:
             for value in step.values():
                 append_to_lists(value)
@@ -579,7 +602,7 @@ class TestCertificates:
         g = random_alpha2(21, 0)
         expected = json.dumps(certificate_to_json(construct_half_minor(g, 2)))
         first = construct_half_minor(g, 1)
-        assert first.trace[-1].kind == "FallbackConnectivity"
+        assert first.trace[-1].kind == "FallbackClique"
         for cert in (first, construct_chi_minor(join(cycle(5), cycle(5)), 2)):
             for step in cert.trace:
                 with pytest.raises(TypeError):
@@ -662,6 +685,7 @@ def test_readme_tour_shows_its_values():
     assert checked == {
         "a2.chromatic_number_alpha2(g)": 5,
         "a2.vertex_connectivity(g)": 6,
+        "a2.vertex_connectivity(g, 7) >= 7": False,
         "a2.validate_model(g, cert.target, cert.model)": [],
         "report.holds(3)": True,
     }

@@ -14,7 +14,6 @@ from alpha2minor import (
     complement,
     emit_graph6,
     induced_subgraph,
-    is_k_connected,
     parse_graph6,
     random_alpha2,
     vertex_connectivity,
@@ -228,7 +227,7 @@ class TestVertexConnectivity:
             kappa = vertex_connectivity(g)
             assert kappa == brute_vertex_connectivity(g)
             for k in range(0, 8):
-                assert is_k_connected(g, k) == (kappa >= k)
+                assert (vertex_connectivity(g, k) >= k) == (kappa >= k)
 
     @pytest.mark.parametrize("g", [cycle(6), petersen(), Graph(3, (0, 0, 0))], ids=["C6", "Petersen", "3K1"])
     def test_independent_triple_raises(self, g):
@@ -236,7 +235,7 @@ class TestVertexConnectivity:
             vertex_connectivity(g)
         for k in (0, 1, 2):
             with pytest.raises(PreconditionError):
-                is_k_connected(g, k)
+                vertex_connectivity(g, k)
 
 
 def _two_cliques(n: int) -> list[Graph]:
@@ -264,7 +263,6 @@ def _assert_kernel_matches_oracle(graphs, oracle=brute_vertex_connectivity) -> N
         assert vertex_connectivity(g) == kappa, emit_graph6(g)
         # k = -1 and n + 1 are past both ends of kappa's range.
         for k in range(-1, g.n + 2):
-            assert is_k_connected(g, k) == (kappa >= k), (emit_graph6(g), k)
             assert vertex_connectivity(g, k) == min(kappa, k), (emit_graph6(g), k)
 
 
@@ -291,22 +289,25 @@ class TestConnectivityKernel:
                 g = random_alpha2(n, seed)
                 kappa = _networkx_kappa(g)
                 assert vertex_connectivity(g) == kappa, emit_graph6(g)
-                assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
+                assert vertex_connectivity(g, kappa) == vertex_connectivity(g, kappa + 1) == kappa
 
     def test_one_connected_is_connected(self, universe):
         # K_1 is connected but, with kappa(K_n) = n - 1, not 1-connected.
         for n in range(1, 8):
             for g in universe(n):
                 connected = is_connected_mask(g, g.vertex_mask())
-                assert is_k_connected(g, 1) == (connected and n >= 2)
+                assert (vertex_connectivity(g, 1) >= 1) == (connected and n >= 2)
 
-    def test_min_degree_below_k_matches_nothing(self, universe, monkeypatch):
-        # kappa <= delta, so k > delta is decided before any matching: the
-        # half-form fallback asks k = ceil(n/2), usually above delta.
+    def test_pairs_at_or_above_the_bound_match_nothing(self, universe, monkeypatch):
+        # kappa(a, b) >= deg a + deg b + 2 - n, so a cap at the least such
+        # base over the non-edges is the answer, found without a matching.
         monkeypatch.setattr(invariants, "_matching_number", _no_matching)
         for n in range(1, 8):
             for g in universe(n):
-                assert not is_k_connected(g, min(g.degrees()) + 1)
+                d = g.degrees()
+                non_edges = [(a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)]
+                base = min((d[a] + d[b] + 2 - n for a, b in non_edges), default=n - 1)
+                assert vertex_connectivity(g, base) == base, emit_graph6(g)
 
     @pytest.mark.parametrize(
         "n,steps,kappa",
@@ -315,8 +316,7 @@ class TestConnectivityKernel:
     def test_circulant_complements(self, n, steps, kappa):
         g = co_circulant(n, steps)
         assert alpha_at_most_two(g)
-        assert is_k_connected(g, kappa)
-        assert not is_k_connected(g, kappa + 1)
+        assert vertex_connectivity(g, kappa + 1) == kappa
         assert vertex_connectivity(g) == kappa
 
 

@@ -84,6 +84,7 @@ class TestCliqueNumber:
     def test_witness_is_clique(self):
         from alpha2minor.invariants import max_clique
 
+        assert max_clique(Graph(0, ())) == (0, frozenset())
         for seed in range(30):
             g = random_graph(8, 0.5, seed)
             size, witness = max_clique(g)

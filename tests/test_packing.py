@@ -114,7 +114,7 @@ class TestConditions:
         passes = Counter()
         monkeypatch.setattr(
             "alpha2minor.packing._connectivity",
-            lambda g, cap, need: passes.update([g]) or _connectivity(g, cap, need),
+            lambda g, cap: passes.update([g]) or _connectivity(g, cap),
         )
         for g in universe(9):
             check_packing_conditions(g)
